@@ -19,30 +19,21 @@ from .errors import (
     ParseError,
     PathologicalConfiguration,
     SchemaError,
-    SingularCenter,
     TimeOutOfRange,
     ZeroRange,
 )
 from .geom import (
     Circle,
     CircleIntersection,
-    ConicClass,
     IntersectKind,
     Line2,
     Point2,
     RigidTransform2,
-    SymMat3,
     angle_diff,
     circle_circle_intersect,
-    classify_conic,
     collinear,
-    conic_center,
-    degenerate_line_pair,
-    line_through,
     perpendicular_bisector,
     point_line_distance,
-    reflect_across,
-    signed_point_line_distance,
     wrap_angle,
 )
 from .global_analysis import (
@@ -112,7 +103,6 @@ from .solver import (
     SolutionSet,
     SolverConfig,
     brute_force_oracle,
-    count_indistinguishable,
     dedup_solutions,
     polish_solution,
     residual_jacobian,

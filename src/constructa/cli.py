@@ -9,7 +9,8 @@ Verbs:
 
 JSON reports are deterministic for a fixed input and seed. Exit codes:
 0 means uniquely constructible (or, for gramian, full rank), 2 means
-ambiguous or singular, 1 means the input or the geometry was rejected.
+ambiguous or singular, 1 means the input, the command line or the geometry
+was rejected.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .scenario import dumps_scenario, load_scenario, synthesize_measurements, wi
 from .solver import (
     GridSpec,
     SolverConfig,
+    auto_extent,
     brute_force_oracle,
     solve_multistart,
-    translation_bound,
 )
 
 SCHEMA_VERSION = 1
@@ -142,7 +143,7 @@ def _grid(args, s) -> GridSpec | None:
     if extent is not None:
         kw["extent"] = extent
     if cell is not None:
-        reach = extent if extent is not None else 1.05 * translation_bound(s) + 0.25
+        reach = extent if extent is not None else auto_extent(s)
         kw["nxy"] = max(9, 2 * math.ceil(reach / cell) + 1)
     if phi_cells is not None:
         kw["phi_cells"] = phi_cells
@@ -290,8 +291,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a bad command line is rejected input: exit 1, one line, as for a bad file
+        self.exit(1, f"error: {message}\n")
+
+
+# options whose value is a placement 'dx,dy,phi'; argparse would read a leading
+# minus sign in a separate value as the start of another option
+_PLACEMENT_OPTIONS = ("--placement", "--truth")
+
+
+def _attach_placements(argv) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _PLACEMENT_OPTIONS:
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="constructa",
         description="Decide whether range measurements pin a planar trajectory's placement.",
     )
@@ -338,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_placements(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConstructaError as e:

@@ -21,10 +21,6 @@ class MissingMeasurements(ConstructaError):
     """Operation needs ranges but the scenario carries none."""
 
 
-class WrongDistribution(ConstructaError):
-    """Scenario does not match the measurement distribution a solver expects."""
-
-
 class DegenerateInput(ConstructaError):
     """Geometry falls outside a closed form's construction; use the generic solver."""
 
@@ -55,11 +51,3 @@ class ZeroRange(ConstructaError):
 
 class InconsistentControls(ConstructaError):
     """Controls do not reproduce the scenario's trajectory points."""
-
-
-class DegeneratePrefix(ConstructaError):
-    """Prefix contributions are linearly dependent; no unique line exists."""
-
-
-class SingularCenter(ConstructaError):
-    """Conic center requested while the quadratic block is singular."""

@@ -2,9 +2,8 @@
 
 Everything downstream (solvers, taxonomy, Gramian analysis) reduces to a small
 set of constructions kept here: rigid transforms of the plane, circle-circle
-intersection with a tangency window, collinearity tests, and the classification
-of symmetric 3x3 quadratic forms into the conic classes the ambiguity analysis
-needs. All length tolerances are absolute, in meters.
+intersection with a tangency window, collinearity tests and lines. All length
+tolerances are absolute, in meters.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import SingularCenter
+from .errors import ConstructaError
 
 TWO_PI = 2.0 * math.pi
 
@@ -142,46 +141,6 @@ class CircleIntersection:
     points: tuple[Point2, ...]
 
 
-class ConicClass(Enum):
-    DEGENERATE_LINE_PAIR = "degenerate_line_pair"
-    WHOLE_PLANE = "whole_plane"
-    NONDEGENERATE_CONIC = "nondegenerate_conic"
-    POINT_CONIC = "point_conic"
-
-
-@dataclass(frozen=True)
-class SymMat3:
-    """Symmetric 3x3 matrix stored by its six independent entries."""
-
-    a11: float
-    a12: float
-    a13: float
-    a22: float
-    a23: float
-    a33: float
-
-    @staticmethod
-    def from_matrix(m) -> SymMat3:
-        m = np.asarray(m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"expected 3x3 matrix, got {m.shape}")
-        m = 0.5 * (m + m.T)
-        return SymMat3(m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2])
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.a11, self.a12, self.a13],
-                [self.a12, self.a22, self.a23],
-                [self.a13, self.a23, self.a33],
-            ]
-        )
-
-
-def apply_transform(t: RigidTransform2, p: Point2) -> Point2:
-    return t.apply(p)
-
-
 def circle_circle_intersect(a: Circle, b: Circle, tol: float = 1e-9) -> CircleIntersection:
     """Intersect two circles.
 
@@ -207,6 +166,8 @@ def circle_circle_intersect(a: Circle, b: Circle, tol: float = 1e-9) -> CircleIn
     # Chord foot along the center line; h is the half-chord.
     m = (a.radius * a.radius - b.radius * b.radius + d * d) / (2.0 * d)
     h2 = a.radius * a.radius - m * m
+    if not math.isfinite(h2):
+        raise ConstructaError("circle intersection overflows: lengths too large to square in floating point")
     fx = a.center.x + m * ux
     fy = a.center.y + m * uy
     if abs(d - outer) <= tol or abs(d - inner) <= tol or h2 <= 0.0:
@@ -239,92 +200,7 @@ def point_line_distance(p: Point2, line: Line2) -> float:
     return abs(vx * line.direction.y - vy * line.direction.x)
 
 
-def signed_point_line_distance(p: Point2, line: Line2) -> float:
-    """Distance with sign along the line's left normal."""
-    vx = p.x - line.point.x
-    vy = p.y - line.point.y
-    return vy * line.direction.x - vx * line.direction.y
-
-
-def line_through(p: Point2, q: Point2) -> Line2:
-    return Line2(p, Point2(q.x - p.x, q.y - p.y))
-
-
 def perpendicular_bisector(p: Point2, q: Point2) -> Line2:
     """Locus of points equidistant from p and q."""
     mid = Point2(0.5 * (p.x + q.x), 0.5 * (p.y + q.y))
     return Line2(mid, Point2(-(q.y - p.y), q.x - p.x))
-
-
-def reflect_across(line: Line2, p: Point2) -> Point2:
-    ux, uy = line.direction.x, line.direction.y
-    vx = p.x - line.point.x
-    vy = p.y - line.point.y
-    along = vx * ux + vy * uy
-    perp = vx * uy - vy * ux
-    return Point2(
-        line.point.x + along * ux + perp * uy,
-        line.point.y + along * uy - perp * ux,
-    )
-
-
-def classify_conic(q: SymMat3, tol: float = 1e-9) -> ConicClass:
-    """Classify the zero set of z^T Q z, z = (x, y, 1).
-
-    Classification is scale invariant: a nonzero Q is normalized by its largest
-    entry before the determinant tests. The whole-plane class is reserved for
-    the zero matrix. Parabolic degeneracies (both determinants vanishing for a
-    nonzero Q) are outside the scope of the ambiguity analysis and fall into
-    the nondegenerate bucket.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    m = q.as_matrix()
-    peak = float(np.max(np.abs(m)))
-    if peak <= tol:
-        return ConicClass.WHOLE_PLANE
-    m = m / peak
-    det_q = float(np.linalg.det(m))
-    det_s = float(np.linalg.det(m[:2, :2]))
-    if abs(det_q) <= tol:
-        if det_s < -tol:
-            return ConicClass.DEGENERATE_LINE_PAIR
-        if det_s > tol:
-            return ConicClass.POINT_CONIC
-    return ConicClass.NONDEGENERATE_CONIC
-
-
-def conic_center(q: SymMat3, tol: float = 1e-9) -> Point2:
-    """Center -S^{-1} b of the conic; requires an invertible quadratic block."""
-    m = q.as_matrix()
-    peak = float(np.max(np.abs(m)))
-    if peak <= tol:
-        raise SingularCenter("zero conic has no center")
-    m = m / peak
-    s = m[:2, :2]
-    if abs(float(np.linalg.det(s))) <= tol:
-        raise SingularCenter("quadratic block is singular")
-    c = np.linalg.solve(s, -m[:2, 2])
-    return Point2(float(c[0]), float(c[1]))
-
-
-def degenerate_line_pair(q: SymMat3, tol: float = 1e-9) -> tuple[Line2, Line2]:
-    """Extract the two lines of a degenerate line-pair conic."""
-    if classify_conic(q, tol) is not ConicClass.DEGENERATE_LINE_PAIR:
-        raise ValueError("conic is not a degenerate line pair")
-    center = conic_center(q, tol)
-    m = q.as_matrix()
-    a, b, c = m[0, 0], m[0, 1], m[1, 1]
-    # Directions (dx, dy) with a dx^2 + 2 b dx dy + c dy^2 = 0.
-    if abs(a) >= abs(c):
-        disc = math.sqrt(max(b * b - a * c, 0.0))
-        if abs(a) < tol:
-            dirs = [(1.0, 0.0), (-c, 2.0 * b)]
-        else:
-            dirs = [((-b + disc) / a, 1.0), ((-b - disc) / a, 1.0)]
-    else:
-        disc = math.sqrt(max(b * b - a * c, 0.0))
-        dirs = [(1.0, (-b + disc) / c), (1.0, (-b - disc) / c)]
-    l1 = Line2(center, Point2(dirs[0][0], dirs[0][1]))
-    l2 = Line2(center, Point2(dirs[1][0], dirs[1][1]))
-    return l1, l2

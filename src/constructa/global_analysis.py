@@ -57,6 +57,7 @@ from .solver import (
     Solution,
     SolutionSet,
     SolverConfig,
+    _same_transform,
     brute_force_oracle,
     dedup_solutions,
     polish_solution,
@@ -467,7 +468,10 @@ class Branch2p1:
 
 @dataclass(frozen=True)
 class Result2p1:
+    """Deduplicated placements; `sigma_branch[i]` indexes the branch that made transform i."""
+
     transforms: tuple[RigidTransform2, ...]
+    sigma_branch: tuple[int, ...]
     branches: tuple[Branch2p1, ...]
     tangent: bool
 
@@ -536,9 +540,11 @@ def solve_2p1(s: Scenario) -> Result2p1:
     if not all_t:
         raise EmptyDomain("no placement satisfies all three ranges")
     sols = [Solution(t, 0.0, 3) for t in all_t]
-    kept = dedup_solutions(sols, tol.dedup[0], tol.dedup[1])
+    kept = dedup_solutions(sols, *tol.dedup)
+    branch_of = [bi for bi, br in enumerate(branches) for _ in br.transforms]
     return Result2p1(
         tuple(sol.transform for sol in kept),
+        tuple(branch_of[sols.index(sol)] for sol in kept),
         tuple(branches),
         any(b.tangent for b in branches),
     )
@@ -613,7 +619,7 @@ def solve_3p1(s: Scenario) -> Result3p1:
     if inter.kind in (IntersectKind.EMPTY, IntersectKind.COINCIDENT):
         raise EmptyDomain("the last range contradicts the reconstructed geometry")
     ts = [_correspondence(b_v, q3, b1, x) for x in inter.points]
-    sols = dedup_solutions([Solution(t, 0.0, 3) for t in ts], tol.dedup[0], tol.dedup[1])
+    sols = dedup_solutions([Solution(t, 0.0, 3) for t in ts], *tol.dedup)
     return Result3p1(
         tuple(sol.transform for sol in sols), d3, inter.kind is IntersectKind.TANGENT
     )
@@ -738,6 +744,7 @@ def solve_1p1p1(s: Scenario, config: SolverConfig = SolverConfig()) -> Result1p1
 
 
 def _accept_1p1p1(s: Scenario, candidates, config: SolverConfig) -> Result1p1p1:
+    """Polish and dedup the candidates; a placement is a touch when every candidate it absorbed was one."""
     tol = s.tolerances
     polished: list[tuple[Solution, bool]] = []
     for t, touch in candidates:
@@ -748,26 +755,14 @@ def _accept_1p1p1(s: Scenario, candidates, config: SolverConfig) -> Result1p1p1:
             polished.append((sol, touch))
     if not polished:
         raise EmptyDomain("no placement satisfies all three ranges")
-    kept: list[Solution] = []
-    flags: list[bool] = []
-    order = sorted(polished, key=lambda st: (st[0].residual, st[1]))
-    for sol, touch in order:
-        dup = None
-        for j, existing in enumerate(kept):
-            if (
-                abs(existing.transform.dx - sol.transform.dx) <= config.dedup_xy
-                and abs(existing.transform.dy - sol.transform.dy) <= config.dedup_xy
-                and abs(wrap_angle(existing.transform.phi - sol.transform.phi)) <= config.dedup_phi
-            ):
-                dup = j
-                break
-        if dup is None:
-            kept.append(sol)
-            flags.append(touch)
-        elif not touch:
-            flags[dup] = False
-    pairs = sorted(zip(kept, flags), key=lambda sf: sf[0].key())
-    return Result1p1p1(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+    # at equal residual a crossing candidate is kept ahead of a touch
+    polished.sort(key=lambda st: (st[0].residual, st[1]))
+    kept = dedup_solutions((sol for sol, _ in polished), *tol.dedup)
+    flags = tuple(
+        all(touch for sol, touch in polished if _same_transform(sol.transform, k.transform, *tol.dedup))
+        for k in kept
+    )
+    return Result1p1p1(tuple(kept), flags)
 
 
 def locus_1p1p1(s: Scenario, n: int = 512) -> np.ndarray:
@@ -883,20 +878,11 @@ def critical_lines_2p2(s: Scenario) -> tuple[CriticalLine, ...]:
     if len(res.transforms) < 2:
         raise NoAmbiguity("the first three measurements already pin the placement")
 
-    # recover, for every deduplicated transform, which sigma branch made it
-    branch_of: dict[tuple[float, float, float], int] = {}
-    for bi, br in enumerate(res.branches):
-        for t in br.transforms:
-            branch_of.setdefault((round(t.dx, 9), round(t.dy, 9), round(t.phi, 9)), bi)
-
     tol = s.tolerances
     pre = [t.inverse().apply(anc_b.position) for t in res.transforms]
     lines: list[CriticalLine] = []
     for i, j in combinations(range(len(res.transforms)), 2):
-        ti, tj = res.transforms[i], res.transforms[j]
-        bi = branch_of.get((round(ti.dx, 9), round(ti.dy, 9), round(ti.phi, 9)))
-        bj = branch_of.get((round(tj.dx, 9), round(tj.dy, 9), round(tj.phi, 9)))
-        same_branch = bi is not None and bi == bj
+        same_branch = res.sigma_branch[i] == res.sigma_branch[j]
         if pre[i].dist(pre[j]) <= 10.0 * tol.dedup[0]:
             if same_branch:
                 continue
@@ -1095,7 +1081,7 @@ def _filter_candidates(s: Scenario, transforms, config: SolverConfig) -> list[So
         sol = polish_solution(s, t, config)
         if sol is not None:
             accepted.append(sol)
-    return dedup_solutions(accepted, config.dedup_xy, config.dedup_phi)
+    return dedup_solutions(accepted, *s.tolerances.dedup)
 
 
 def _check_duplicate_measurements(s: Scenario, groups, deg_tol: float, sep_tol: float):

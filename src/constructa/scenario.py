@@ -238,7 +238,13 @@ def _require(cond: bool, msg: str):
 def _as_float(obj, where: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ParseError(f"{where}: expected a number, got {type(obj).__name__}")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError as e:
+        raise ParseError(f"{where}: {e}") from e
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: expected a finite number, got {value}")
+    return value
 
 
 def _point_list(obj, where: str) -> tuple[Point2, ...]:

@@ -78,15 +78,13 @@ class SolverConfig:
     n_starts: int = 64
     max_iter: int = 80
     accept_tol: float = 1e-7
-    dedup_xy: float = 1e-5
-    dedup_phi: float = 1e-5
     seed: int = 0
 
     def __post_init__(self):
         if self.n_starts < 1 or self.max_iter < 1:
             raise NonPositiveInput("n_starts and max_iter must be positive")
-        if min(self.accept_tol, self.dedup_xy, self.dedup_phi) <= 0.0:
-            raise NonPositiveInput("tolerances must be positive")
+        if self.accept_tol <= 0.0:
+            raise NonPositiveInput("accept_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -230,14 +228,19 @@ def _lm(pts, anchors, rhos, p0, max_iter: int) -> tuple[np.ndarray, float]:
     return p, float(np.max(np.abs(r)))
 
 
-def polish_solution(s: Scenario, start: RigidTransform2, config: SolverConfig = SolverConfig()) -> Solution | None:
-    """Refine a candidate transform; None when it fails the residual gate."""
-    pts, anchors, rhos = _problem_arrays(s)
-    p, res = _lm(pts, anchors, rhos, (start.dx, start.dy, start.phi), config.max_iter)
+def _polish(pts, anchors, rhos, p0, config: SolverConfig, rank_tol: float) -> Solution | None:
+    """LM from p0, then the residual gate and the local rank of the result."""
+    p, res = _lm(pts, anchors, rhos, p0, config.max_iter)
     if res > config.accept_tol:
         return None
     J = _jacobian_mat(pts, anchors, rhos, p)
-    return Solution(RigidTransform2(p[0], p[1], wrap_angle(p[2])), res, _rank(J, s.tolerances.rank))
+    return Solution(RigidTransform2(p[0], p[1], wrap_angle(p[2])), res, _rank(J, rank_tol))
+
+
+def polish_solution(s: Scenario, start: RigidTransform2, config: SolverConfig = SolverConfig()) -> Solution | None:
+    """Refine a candidate transform; None when it fails the residual gate."""
+    pts, anchors, rhos = _problem_arrays(s)
+    return _polish(pts, anchors, rhos, (start.dx, start.dy, start.phi), config, s.tolerances.rank)
 
 
 def _same_transform(a: RigidTransform2, b: RigidTransform2, tol_xy: float, tol_phi: float) -> bool:
@@ -248,17 +251,13 @@ def _same_transform(a: RigidTransform2, b: RigidTransform2, tol_xy: float, tol_p
     )
 
 
-def _dedup(sols: list[Solution], tol_xy: float, tol_phi: float) -> list[Solution]:
+def dedup_solutions(sols, tol_xy: float, tol_phi: float) -> list[Solution]:
+    """Drop near-duplicate solutions, keeping the lowest residual of each."""
     kept: list[Solution] = []
     for s in sorted(sols, key=lambda s: s.residual):
         if not any(_same_transform(s.transform, k.transform, tol_xy, tol_phi) for k in kept):
             kept.append(s)
     return sorted(kept, key=Solution.key)
-
-
-def dedup_solutions(sols, tol_xy: float, tol_phi: float) -> list[Solution]:
-    """Drop near-duplicate solutions, keeping the lowest residual of each."""
-    return _dedup(list(sols), tol_xy, tol_phi)
 
 
 def translation_bound(s: Scenario) -> float:
@@ -272,7 +271,8 @@ def translation_bound(s: Scenario) -> float:
     return float(np.min(bounds))
 
 
-def _auto_extent(s: Scenario) -> float:
+def auto_extent(s: Scenario) -> float:
+    """Half-width of the search square when none is given: the translation bound plus a margin."""
     return 1.05 * translation_bound(s) + 0.25
 
 
@@ -284,7 +284,7 @@ def solve_multistart(s: Scenario, config: SolverConfig = SolverConfig()) -> Solu
     as many accepted points and are flagged, not resolved, here.
     """
     pts, anchors, rhos = _problem_arrays(s)
-    extent = _auto_extent(s)
+    extent = auto_extent(s)
     sampler = qmc.Halton(d=3, scramble=True, seed=config.seed)
     u = sampler.random(config.n_starts)
     starts = np.column_stack(
@@ -294,15 +294,8 @@ def solve_multistart(s: Scenario, config: SolverConfig = SolverConfig()) -> Solu
             (2.0 * u[:, 2] - 1.0) * math.pi,
         )
     )
-    accepted: list[Solution] = []
-    for p0 in starts:
-        p, res = _lm(pts, anchors, rhos, p0, config.max_iter)
-        if res <= config.accept_tol:
-            J = _jacobian_mat(pts, anchors, rhos, p)
-            accepted.append(
-                Solution(RigidTransform2(p[0], p[1], wrap_angle(p[2])), res, _rank(J, s.tolerances.rank))
-            )
-    unique = _dedup(accepted, config.dedup_xy, config.dedup_phi)
+    polished = (_polish(pts, anchors, rhos, p0, config, s.tolerances.rank) for p0 in starts)
+    unique = dedup_solutions((sol for sol in polished if sol is not None), *s.tolerances.dedup)
     warnings: list[str] = []
     if not unique:
         warnings.append("no start converged below accept_tol")
@@ -428,8 +421,9 @@ def brute_force_oracle(
     """
     pts, anchors, rhos = _problem_arrays(s)
     rank_tol = s.tolerances.rank
+    tol_xy, tol_phi = s.tolerances.dedup
 
-    extent = grid.extent if grid.extent is not None else _auto_extent(s)
+    extent = grid.extent if grid.extent is not None else auto_extent(s)
     cell = 2.0 * extent / grid.nxy
     xs = np.linspace(-extent + 0.5 * cell, extent - 0.5 * cell, grid.nxy)
     ys = xs.copy()
@@ -482,15 +476,8 @@ def brute_force_oracle(
         cvals = vals[ip, ix, iy]
         seeds = _cluster_seeds(coords, cvals, scale, max_seeds=6, min_sep=2.0 * cell_diag)
 
-        reps: list[Solution] = []
-        for sd in seeds:
-            p, res = _lm(pts, anchors, rhos, (sd[0], sd[1], sd[2]), config.max_iter)
-            if res <= config.accept_tol:
-                J = _jacobian_mat(pts, anchors, rhos, p)
-                reps.append(
-                    Solution(RigidTransform2(p[0], p[1], wrap_angle(p[2])), res, _rank(J, rank_tol))
-                )
-        reps = _dedup(reps, config.dedup_xy, config.dedup_phi)
+        polished = (_polish(pts, anchors, rhos, sd, config, rank_tol) for sd in seeds)
+        reps = dedup_solutions((sol for sol in polished if sol is not None), tol_xy, tol_phi)
         if not reps:
             warnings.append(f"cluster of {coords.shape[0]} cells produced no solution below accept_tol")
             continue
@@ -512,7 +499,7 @@ def brute_force_oracle(
                 warnings.append("grid too coarse: a polished solution left its cluster")
                 break
 
-        distinct = _dedup(reps, 10.0 * config.dedup_xy, 10.0 * config.dedup_phi)
+        distinct = dedup_solutions(reps, 10.0 * tol_xy, 10.0 * tol_phi)
         min_rank = min(r.rank for r in reps)
         if len(distinct) >= 2 and min_rank < 3:
             spread = (
@@ -524,13 +511,7 @@ def brute_force_oracle(
         else:
             isolated.extend(reps)
 
-    isolated = _dedup(isolated, config.dedup_xy, config.dedup_phi)
+    isolated = dedup_solutions(isolated, tol_xy, tol_phi)
     families.sort(key=lambda f: f.representatives[0].key())
     return SolutionSet(tuple(isolated), tuple(families), tuple(warnings))
 
-
-def count_indistinguishable(
-    s: Scenario, grid: GridSpec = GridSpec(), config: SolverConfig = SolverConfig()
-) -> SolutionSet:
-    """Grid oracle entry point; the set's ind_class carries the verdict."""
-    return brute_force_oracle(s, grid, config)

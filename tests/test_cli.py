@@ -4,6 +4,7 @@ import io
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -270,3 +271,55 @@ def test_grid_flag_mapping():
     assert g.extent is None
     reach = 1.05 * translation_bound(s) + 0.25
     assert g.nxy == max(9, 2 * math.ceil(reach / 0.05) + 1)
+
+
+
+
+def _assert_rejected(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def _raw(tmp_path, s):
+    return json.loads(Path(_write(tmp_path, s)).read_text())
+
+
+def _write_raw(tmp_path, raw):
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_non_finite_number_is_an_error(tmp_path, capsys):
+    raw = _raw(tmp_path, double_double())
+    raw["points_v"][2]["x"] = math.nan
+    _assert_rejected(*_run(capsys, ["analyze", _write_raw(tmp_path, raw)]))
+
+
+def test_overflowing_lengths_are_an_error(tmp_path, capsys):
+    raw = _raw(tmp_path, double_double())
+    for item in raw["anchors"] + raw["points_v"]:
+        item["x"] *= 1e200
+        item["y"] *= 1e200
+    raw["rho"] = [r * 1e200 for r in raw["rho"]]
+    _assert_rejected(*_run(capsys, ["analyze", _write_raw(tmp_path, raw)]))
+
+
+def test_placement_values_may_start_with_a_minus_sign(tmp_path, capsys):
+    path = _write(tmp_path, replace(double_double(), measurements=None))
+    sim = tmp_path / "sim.json"
+    code, _, _ = _run(capsys, ["simulate", path, "--truth", "-0.3,0.2,0.1", "--out", str(sim)])
+    assert code == 0
+    code, out, _ = _run(capsys, ["gramian", str(sim), "--placement", "-0.3,0.2,0.1"])
+    assert code == 0
+    assert json.loads(out)["rank"] == 3
+
+
+def test_usage_error_is_rejected_input(tmp_path, capsys):
+    path = _write(tmp_path, double_double())
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", path, "--no-such-flag"])
+    captured = capsys.readouterr()
+    _assert_rejected(exc.value.code, captured.out, captured.err)

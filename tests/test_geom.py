@@ -1,4 +1,4 @@
-"""Planar primitives: transforms, circle intersection, lines, conics."""
+"""Planar primitives: transforms, circle intersection, lines."""
 import math
 
 import numpy as np
@@ -7,24 +7,15 @@ import pytest
 from constructa import (
     Circle,
     CircleIntersection,
-    ConicClass,
     IntersectKind,
     Line2,
     Point2,
     RigidTransform2,
-    SingularCenter,
-    SymMat3,
     angle_diff,
     circle_circle_intersect,
-    classify_conic,
     collinear,
-    conic_center,
-    degenerate_line_pair,
-    line_through,
     perpendicular_bisector,
     point_line_distance,
-    reflect_across,
-    signed_point_line_distance,
     wrap_angle,
 )
 
@@ -161,11 +152,9 @@ def test_collinear():
 
 
 def test_line_distances():
-    line = line_through(Point2(0.0, 0.0), Point2(2.0, 0.0))
+    line = Line2(Point2(0.0, 0.0), Point2(2.0, 0.0))
     assert point_line_distance(Point2(1.0, 0.0), line) == pytest.approx(0.0, abs=1e-12)
     assert point_line_distance(Point2(1.0, -3.0), line) == pytest.approx(3.0)
-    assert signed_point_line_distance(Point2(1.0, 2.0), line) == pytest.approx(2.0)
-    assert signed_point_line_distance(Point2(1.0, -2.0), line) == pytest.approx(-2.0)
     with pytest.raises(ValueError):
         Line2(Point2(0.0, 0.0), Point2(0.0, 0.0))
 
@@ -189,75 +178,6 @@ def test_perpendicular_bisector_is_equidistant():
             z = Point2(line.point.x + t * line.direction.x,
                        line.point.y + t * line.direction.y)
             assert z.dist(p) == pytest.approx(z.dist(q), abs=1e-9)
-
-
-def test_reflect_across_is_an_involution_fixing_the_line():
-    rng = np.random.default_rng(7)
-    line = Line2(Point2(0.5, -1.0), Point2(2.0, 1.0))
-    for _ in range(100):
-        p = Point2(*rng.uniform(-4, 4, 2))
-        r = reflect_across(line, p)
-        assert reflect_across(line, r).dist(p) < 1e-12
-        assert point_line_distance(p, line) == pytest.approx(point_line_distance(r, line), abs=1e-12)
-    on = Point2(line.point.x + 0.7 * line.direction.x, line.point.y + 0.7 * line.direction.y)
-    assert reflect_across(line, on).dist(on) < 1e-12
-
-
-def _conic_value(q: SymMat3, p: Point2) -> float:
-    z = np.array([p.x, p.y, 1.0])
-    return float(z @ q.as_matrix() @ z)
-
-
-def test_conic_classification():
-    # x^2 - y^2 = 0: crossing line pair
-    pair = SymMat3(1.0, 0.0, 0.0, -1.0, 0.0, 0.0)
-    assert classify_conic(pair) is ConicClass.DEGENERATE_LINE_PAIR
-    # unit circle
-    circle = SymMat3(1.0, 0.0, 0.0, 1.0, 0.0, -1.0)
-    assert classify_conic(circle) is ConicClass.NONDEGENERATE_CONIC
-    # x^2 + y^2 = 0: single point
-    point = SymMat3(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-    assert classify_conic(point) is ConicClass.POINT_CONIC
-    assert classify_conic(SymMat3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)) is ConicClass.WHOLE_PLANE
-    # classification is scale invariant
-    scaled = SymMat3.from_matrix(1e-7 * pair.as_matrix())
-    assert classify_conic(scaled) is ConicClass.DEGENERATE_LINE_PAIR
-
-
-def test_degenerate_line_pair_extraction():
-    # (x - y)(x + y - 2) = 0 rewritten as a symmetric quadratic form
-    m = np.array([[1.0, 0.0, -1.0], [0.0, -1.0, 1.0], [-1.0, 1.0, 0.0]])
-    q = SymMat3.from_matrix(m)
-    assert classify_conic(q) is ConicClass.DEGENERATE_LINE_PAIR
-    l1, l2 = degenerate_line_pair(q)
-    center = conic_center(q)
-    assert _conic_value(q, center) == pytest.approx(0.0, abs=1e-9)
-    for line in (l1, l2):
-        for t in (-1.5, 0.8):
-            p = Point2(line.point.x + t * line.direction.x,
-                       line.point.y + t * line.direction.y)
-            assert _conic_value(q, p) == pytest.approx(0.0, abs=1e-9)
-    # the two lines are genuinely different
-    cross = abs(l1.direction.x * l2.direction.y - l1.direction.y * l2.direction.x)
-    assert cross > 0.1
-
-
-def test_degenerate_line_pair_rejects_other_conics():
-    circle = SymMat3(1.0, 0.0, 0.0, 1.0, 0.0, -1.0)
-    with pytest.raises(ValueError):
-        degenerate_line_pair(circle)
-    # parallel line pair has a singular quadratic block: no single center
-    parallel = SymMat3(1.0, 0.0, 0.0, 0.0, 0.0, -1.0)
-    with pytest.raises(SingularCenter):
-        conic_center(parallel)
-
-
-def test_symmat3_roundtrip():
-    m = np.array([[2.0, 1.0, 0.5], [1.0, -1.0, 0.25], [0.5, 0.25, 3.0]])
-    q = SymMat3.from_matrix(m)
-    np.testing.assert_allclose(q.as_matrix(), m)
-    with pytest.raises(ValueError):
-        SymMat3.from_matrix(np.eye(2))
 
 
 def test_intersection_result_is_frozen():

@@ -1,5 +1,6 @@
 """Exact ambiguity constructions, critical lines, pathologies, verdicts."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from constructa import (
     DegenerateInput,
     EmptyDomain,
     GridSpec,
+    IndClass,
     MixedAnchors,
     NoAmbiguity,
     NonPositiveInput,
     Point2,
     RigidTransform2,
     SolverConfig,
+    Tolerances,
     Verdict,
     analyze_global,
     brute_force_oracle,
@@ -32,6 +35,7 @@ from constructa import (
     solve_1p1p1,
     solve_2p1,
     solve_3p1,
+    solve_multistart,
     sub_scenario,
     sufficient_counts,
     synthesize_measurements,
@@ -245,6 +249,10 @@ def test_2p1_branch_bookkeeping():
     assert len(sigmas) == 2
     for b in res.branches:
         assert b.d2 > 0.0
+    # every placement is tagged with the branch that produced it
+    assert len(res.sigma_branch) == len(res.transforms)
+    for t, bi in zip(res.transforms, res.sigma_branch):
+        assert t in res.branches[bi].transforms
 
 
 def test_2p1_tangency_gives_unique_placement():
@@ -589,3 +597,13 @@ def test_noise_breaks_exact_consistency_but_polish_recovers():
     best = ga.solutions.best()
     assert best is not None
     assert same_transform(best.transform, RigidTransform2(0.15, -0.35, 0.9), 0.1, 0.05)
+
+
+def test_scenario_dedup_tolerance_governs_every_route():
+    # a dedup window wider than the whole placement set merges everything
+    loose = Tolerances(dedup=(100.0, 10.0))
+    for make in (double_plus_single, three_singles):
+        assert analyze_global(replace(make(), tolerances=loose)).ind == IndClass.finite(1)
+    s = replace(double_plus_single(), tolerances=loose)
+    assert solve_multistart(s).ind_class == IndClass.finite(1)
+    assert brute_force_oracle(s, GridSpec(nxy=61, phi_cells=90)).ind_class == IndClass.finite(1)

@@ -177,6 +177,11 @@ def test_loads_rejects_malformed_documents():
     doc["points_v"] = [{"x": "a", "y": 0.0}]
     with pytest.raises(ParseError):
         loads_scenario(json.dumps(doc))
+    # JSON as Python reads it admits NaN, ±Infinity and integers beyond float range
+    for bad in (math.nan, math.inf, -math.inf, 10**400):
+        doc["points_v"] = [{"x": bad, "y": 0.0}]
+        with pytest.raises(ParseError):
+            loads_scenario(json.dumps(doc))
     doc["points_v"] = [{"x": 0.5, "y": 0.0}]
     assert loads_scenario(json.dumps(doc)).n_measurements == 1
     doc["schedule"] = [True]

@@ -13,7 +13,6 @@ from constructa import (
     Solution,
     SolverConfig,
     brute_force_oracle,
-    count_indistinguishable,
     dedup_solutions,
     polish_solution,
     residual_jacobian,
@@ -157,12 +156,6 @@ def test_oracle_empty_when_ranges_are_inconsistent():
     assert oc.n_solutions == 0
     assert not oc.families
     assert oc.warnings
-
-
-def test_count_indistinguishable_is_the_oracle():
-    s = double_double()
-    a = count_indistinguishable(s, GridSpec(nxy=61, phi_cells=90))
-    assert a.ind_class.count == 1
 
 
 def test_oracle_threads_env(monkeypatch):
