@@ -18,9 +18,10 @@ from enum import Enum
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import brentq
+from numpy.polynomial.polynomial import polydiv, polymul, polyroots
 
 from .errors import (
+    ConstructaError,
     DegenerateInput,
     EmptyDomain,
     MissingMeasurements,
@@ -145,6 +146,8 @@ def delta_angle(rho0: float, rho1: float, separation: float, tol: float = 1e-9) 
     if separation < 0.0:
         raise NonPositiveInput("separation must be nonnegative")
     c = (rho0 * rho0 + rho1 * rho1 - separation * separation) / (2.0 * rho0 * rho1)
+    if not math.isfinite(c):
+        raise ConstructaError("subtended angle overflows: lengths too large to square in floating point")
     if c > 1.0 + tol or c < -1.0 - tol:
         raise EmptyDomain(f"no triangle with sides {rho0}, {rho1} and base {separation}")
     c = min(1.0, max(-1.0, c))
@@ -591,22 +594,13 @@ def solve_3p1(s: Scenario) -> Result3p1:
     if collinear(tri, tol.collinear):
         raise DegenerateInput("the triple anchor's points are collinear")
 
-    # anchor position in the vehicle frame from the pairwise range differences
-    a = np.array(
-        [
-            [2.0 * (tri[1].x - tri[0].x), 2.0 * (tri[1].y - tri[0].y)],
-            [2.0 * (tri[2].x - tri[0].x), 2.0 * (tri[2].y - tri[0].y)],
-        ]
-    )
-    rhs = np.array(
-        [
-            (tri[1].x ** 2 + tri[1].y ** 2 - tri[0].x ** 2 - tri[0].y ** 2)
-            - (tri_rho[1] ** 2 - tri_rho[0] ** 2),
-            (tri[2].x ** 2 + tri[2].y ** 2 - tri[0].x ** 2 - tri[0].y ** 2)
-            - (tri_rho[2] ** 2 - tri_rho[0] ** 2),
-        ]
-    )
-    bx, by = np.linalg.solve(a, rhs)
+    # anchor position in the vehicle frame from the pairwise range differences,
+    # in units of the largest length so that the squares stay finite
+    xy, rr = np.array([[p.x, p.y] for p in tri]), np.array(tri_rho)
+    scale = max(float(np.max(np.abs(xy))), float(np.max(rr)))
+    xy, rr = xy / scale, rr / scale
+    rhs = np.sum(xy[1:] * xy[1:], axis=1) - xy[0] @ xy[0] - (rr[1:] * rr[1:] - rr[0] * rr[0])
+    bx, by = np.linalg.solve(2.0 * (xy[1:] - xy[0]), rhs) * scale
     b_v = Point2(float(bx), float(by))
     worst = max(abs(b_v.dist(p) - r) for p, r in zip(tri, tri_rho))
     if worst > max(tol.degenerate, 1e-6 * max(tri_rho)):
@@ -643,123 +637,112 @@ class Result1p1p1:
         return len(self.solutions) == 1 and self.tangent_flags[0]
 
 
-def _g_scalar(q0, q1, q2, b0, b1, b2, rho0, rho1, rho2, phi, branch, tan_tol):
-    t = _transform_at(q0, q1, b0, b1, rho0, rho1, phi, branch, tan_tol)
-    if t is None:
-        return None
-    p2 = t.apply(q2)
-    return p2.dist(b2) - rho2
+def _in_t(x: np.ndarray) -> np.ndarray:
+    """Each a cos(phi) + b sin(phi) + c along the last axis, times 1 + t^2, in t = tan(phi/2).
+
+    The result holds ascending polynomial coefficients along its last axis.
+    """
+    a, b, c = np.moveaxis(x, -1, 0)
+    return np.stack((c + a, 2.0 * b, c - a), axis=-1)
+
+
+# 1 + t^2; its roots t = ±i carry no placement
+_CIRCLE = np.array([1.0, 0.0, 1.0])
+# roots kept for polishing: |Im t| up to this share of 1 + |t|
+_NEAR_REAL = 1e-3
+# den vanishes at a root below this share of the squared largest row entry. Such a
+# root is a multiple root, found only to about 1e-8, where den reads about 1e-8;
+# at the roots of random draws it never read below 4e-5.
+_DEN_TOL = 1e-6
 
 
 def solve_1p1p1(s: Scenario, config: SolverConfig = SolverConfig()) -> Result1p1p1:
     """Placements for one range from each of three distinct anchors.
 
-    The first two ranges leave a one-parameter locus of placements; the third
-    range is a scalar function along it whose zeros are the solutions. Sign
-    changes are bracketed and bisected; zero-touching minima and the locus
-    endpoints are kept as tangency candidates. Everything is polished against
-    all three ranges before acceptance, so the sweep only has to land close.
+    This is the forward kinematics of the planar 3-RPR manipulator. With
+    u_k = R(phi) q_k - b_k, range k reads |d|^2 + 2 d.u_k + |u_k|^2 = rho_k^2.
+    Ranges 1 and 2 minus range 0 are linear in d, so Cramer's rule gives
+    d = N(phi) / den(phi). Put back into range 0 and written in
+    t = tan(phi/2), that is one polynomial; after its (1 + t^2)^2 factor is
+    divided out it has degree 6, so there are at most six placements, and a
+    vanishing t^6 coefficient means phi = pi is a root. Every real or
+    near-real root is polished against all three ranges; a placement that
+    absorbs two roots is a double root, a touch. Lengths are divided by the
+    largest one while the polynomial is built, so its coefficients stay
+    finite. A pinned, coincident or finite leading pair goes through
+    `solve_1p1` instead, and a root at which den vanishes, where the ranges
+    do not fix d, raises DegenerateInput.
     """
     groups = anchor_point_sets(s)
     if s.n_measurements != 3 or len(groups) != 3:
         raise DegenerateInput("expected one range from each of three anchors")
-    pts = s.trajectory.points
-    rho = s.rho_array()
-    tol = s.tolerances
-    q0, q1, q2 = pts[0], pts[1], pts[2]
-    by_id = {a.id: a.position for a in s.anchors}
-    b0, b1, b2 = (by_id[i] for i in s.schedule.anchor_ids)
-    rho0, rho1, rho2 = (float(r) for r in rho)
-
+    q, b, rho = s.points_array(), s.anchor_positions(), s.rho_array()
+    scale = max(float(np.max(np.abs(q))), float(np.max(np.abs(b))), float(np.max(rho)))
+    if not math.isfinite(scale * scale):
+        # the polish squares residuals of about this size
+        raise ConstructaError("placement polish overflows: lengths too large to square in floating point")
     fam = solve_1p1(sub_scenario(s, (0, 1)))
     if fam.ind.is_finite or fam.pinned or fam.coincident_points:
-        if fam.transforms:
-            candidates = [(t, False) for t in fam.transforms]
-        else:
+        if not fam.transforms:
             raise DegenerateInput("the leading pair leaves a degenerate family")
-        return _accept_1p1p1(s, candidates, config)
+        return _accept_1p1p1(s, fam.transforms, config, roots=False)
 
-    scale = max(1.0, rho0, rho1, rho2, b0.dist(b1), b0.dist(b2))
-    touch_gate = 1e-3 * scale
+    q, b, rho = q / scale, b / scale, rho / scale
+    # (cos, sin, 1) coefficients of the rows R v_k - e_k of the linear system,
+    # of u_0, and of g_k = |u_k|^2 - rho_k^2, whose differences make its right side
+    v, e = q[1:] - q[0], b[1:] - b[0]
+    a = np.array([[[vx, -vy, -ex], [vy, vx, -ey]] for (vx, vy), (ex, ey) in zip(v, e)])
+    u0 = np.array([[q[0, 0], -q[0, 1], -b[0, 0]], [q[0, 1], q[0, 0], -b[0, 1]]])
+    g = np.array(
+        [
+            [-2.0 * (bk @ qk), 2.0 * (bk[0] * qk[1] - bk[1] * qk[0]), qk @ qk + bk @ bk - rk * rk]
+            for qk, bk, rk in zip(q, b, rho)
+        ]
+    )
+    h = (g[0] - g[1:]) / 2.0
 
-    candidates: list[tuple[RigidTransform2, bool]] = []
-    for lo, hi in _family_arcs(fam):
-        wrap_seam = lo <= -math.pi and hi >= math.pi
-        phis = np.linspace(lo, hi, 2048)
-        for branch in (+1, -1):
-            dx, dy, ok = _pair_sheet(q0, q1, b0, b1, rho0, rho1, phis, branch)
-            c, sn = np.cos(phis), np.sin(phis)
-            p2x = c * q2.x - sn * q2.y + dx
-            p2y = sn * q2.x + c * q2.y + dy
-            g = np.hypot(p2x - b2.x, p2y - b2.y) - rho2
-
-            def g_of(phi: float) -> float:
-                val = _g_scalar(q0, q1, q2, b0, b1, b2, rho0, rho1, rho2, phi, branch, tol.tangency)
-                return val if val is not None else math.nan
-
-            idx_ok = np.nonzero(ok)[0]
-            for a_i, b_i in zip(idx_ok[:-1], idx_ok[1:]):
-                if b_i != a_i + 1:
-                    continue
-                ga, gb = g[a_i], g[b_i]
-                if ga == 0.0:
-                    t = _transform_at(q0, q1, b0, b1, rho0, rho1, float(phis[a_i]), branch, tol.tangency)
-                    if t is not None:
-                        candidates.append((t, False))
-                    continue
-                if ga * gb < 0.0:
-                    try:
-                        root = brentq(g_of, phis[a_i], phis[b_i], xtol=1e-13, rtol=1e-14)
-                    except ValueError:
-                        continue
-                    t = _transform_at(q0, q1, b0, b1, rho0, rho1, root, branch, tol.tangency)
-                    if t is not None:
-                        candidates.append((t, False))
-            # local minima of |g| that graze zero without crossing
-            absg = np.abs(g)
-            interior = np.nonzero(
-                ok[1:-1]
-                & ok[:-2]
-                & ok[2:]
-                & (absg[1:-1] <= absg[:-2])
-                & (absg[1:-1] <= absg[2:])
-                & (absg[1:-1] < touch_gate)
-            )[0]
-            for i in interior + 1:
-                same_sign = g[i - 1] * g[i + 1] > 0.0
-                if not same_sign:
-                    continue
-                t = _transform_at(q0, q1, b0, b1, rho0, rho1, float(phis[i]), branch, tol.tangency)
-                if t is not None:
-                    candidates.append((t, True))
-        # arc endpoints are branch-merge placements; they count as touches
-        if not wrap_seam:
-            for endpoint in (lo, hi):
-                t = _transform_at(q0, q1, b0, b1, rho0, rho1, endpoint, +1, tol.tangency)
-                if t is not None:
-                    val = t.apply(q2).dist(b2) - rho2
-                    if abs(val) < touch_gate:
-                        candidates.append((t, True))
-    return _accept_1p1p1(s, candidates, config)
+    at, ht = _in_t(a), _in_t(h)
+    den = polymul(at[0, 0], at[1, 1]) - polymul(at[0, 1], at[1, 0])
+    nx = polymul(ht[0], at[1, 1]) - polymul(at[0, 1], ht[1])
+    ny = polymul(at[0, 0], ht[1]) - polymul(ht[0], at[1, 0])
+    # den^2 (|d|^2 + 2 d.u_0 + g_0) for d = (nx, ny) / den, cleared to (1 + t^2)^5
+    full = (
+        polymul(_CIRCLE, polymul(nx, nx) + polymul(ny, ny))
+        + 2.0 * polymul(den, polymul(nx, _in_t(u0[0])) + polymul(ny, _in_t(u0[1])))
+        + polymul(polymul(den, den), _in_t(g[0]))
+    )
+    sextic = polydiv(full, polymul(_CIRCLE, _CIRCLE))[0]
+    if not np.any(sextic):
+        raise DegenerateInput("the three ranges leave the heading free")
+    ts = polyroots(sextic)
+    # every degree the sextic lacks is a root at t = infinity, phi = pi
+    phis = [2.0 * math.atan(t.real) for t in ts if abs(t.imag) <= _NEAR_REAL * (1.0 + abs(t))]
+    phis += [math.pi] * (6 - len(ts))
+    den_floor = _DEN_TOL * float(np.max(np.abs(a))) ** 2
+    candidates = []
+    for phi in phis:
+        w = np.array([math.cos(phi), math.sin(phi), 1.0])
+        m = a @ w
+        if abs(np.linalg.det(m)) <= den_floor:
+            raise DegenerateInput("a root leaves the offset undetermined by the ranges")
+        dx, dy = np.linalg.solve(m, h @ w) * scale
+        candidates.append(RigidTransform2(float(dx), float(dy), phi))
+    return _accept_1p1p1(s, candidates, config, roots=True)
 
 
-def _accept_1p1p1(s: Scenario, candidates, config: SolverConfig) -> Result1p1p1:
-    """Polish and dedup the candidates; a placement is a touch when every candidate it absorbed was one."""
+def _accept_1p1p1(s: Scenario, candidates, config: SolverConfig, roots: bool) -> Result1p1p1:
+    """Polish and dedup the candidates.
+
+    When the candidates are roots of the sextic, a placement that absorbs two
+    or more of them sits on a double root and is a touch.
+    """
     tol = s.tolerances
-    polished: list[tuple[Solution, bool]] = []
-    for t, touch in candidates:
-        if t is None:
-            continue
-        sol = polish_solution(s, t, config)
-        if sol is not None:
-            polished.append((sol, touch))
+    polished = [sol for sol in (polish_solution(s, t, config) for t in candidates) if sol is not None]
     if not polished:
         raise EmptyDomain("no placement satisfies all three ranges")
-    # at equal residual a crossing candidate is kept ahead of a touch
-    polished.sort(key=lambda st: (st[0].residual, st[1]))
-    kept = dedup_solutions((sol for sol, _ in polished), *tol.dedup)
+    kept = dedup_solutions(polished, *tol.dedup)
     flags = tuple(
-        all(touch for sol, touch in polished if _same_transform(sol.transform, k.transform, *tol.dedup))
+        roots and sum(_same_transform(sol.transform, k.transform, *tol.dedup) for sol in polished) >= 2
         for k in kept
     )
     return Result1p1p1(tuple(kept), flags)

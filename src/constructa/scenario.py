@@ -275,6 +275,8 @@ def loads_scenario(text: str) -> Scenario:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except ValueError as e:  # an integer literal too long to convert
+        raise ParseError(f"invalid JSON: {e}") from e
     _require(isinstance(raw, dict), "top-level value must be an object")
     unknown = set(raw) - _SCENARIO_KEYS
     if unknown:

@@ -223,6 +223,32 @@ def tangent_three_singles():
                 rho=[1.3, 1.6, TANGENT_THIRD_RANGE])
 
 
+# Six placements, two of them (one the truth) only 3.5e-4 rad apart in
+# heading, so a sampled heading search finer than that is needed to split them.
+CLOSE_ROOTS_ANCHORS = [
+    (-2.6950504751253423, 4.866131846641617),
+    (0.20540916249864516, -2.0590488183878186),
+    (2.2014515039320672, 2.1261858090795),
+]
+CLOSE_ROOTS_PTS = [
+    (4.922424775887617, 0.2647260465140464),
+    (-4.7291545739726075, 0.7817698888986016),
+    (-2.2555778707038856, 4.648739820652295),
+]
+CLOSE_ROOTS_TRUTH = RigidTransform2(-0.4992469634127381, -0.8214088873025074, -0.738494200190341)
+
+
+def close_roots_three_singles():
+    return scen(CLOSE_ROOTS_ANCHORS, CLOSE_ROOTS_PTS, [1, 2, 3], truth=CLOSE_ROOTS_TRUTH)
+
+
+def three_singles_circle_family():
+    """Each anchor is its point shifted by (1.5, 0.5), all ranges 1: at phi = 0 a unit circle of offsets fits."""
+    pts = [(0.3, -0.5), (2.0, 0.7), (0.9, 2.1)]
+    anchors = [(x + 1.5, y + 0.5) for x, y in pts]
+    return scen(anchors, pts, [1, 2, 3], truth=RigidTransform2(2.5, 0.5, 0.0))
+
+
 def tangent_double_plus_single():
     """2+1 whose second-anchor circle is tangent on the only live branch."""
     return scen([(0.0, 0.0), (3.0, 0.0)], [(1.2, 0.0), (0.5, 1.0), (2.0, 0.0)],

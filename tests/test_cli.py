@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,9 +17,11 @@ from helpers import (
     double_double,
     double_plus_single,
     driven_scenario,
+    four_singles,
     same_transform,
     scen,
     three_singles,
+    triple_plus_single,
     two_anchor_two_loops,
 )
 from constructa import RigidTransform2
@@ -299,12 +302,23 @@ def test_non_finite_number_is_an_error(tmp_path, capsys):
 
 
 def test_overflowing_lengths_are_an_error(tmp_path, capsys):
-    raw = _raw(tmp_path, double_double())
-    for item in raw["anchors"] + raw["points_v"]:
-        item["x"] *= 1e200
-        item["y"] *= 1e200
-    raw["rho"] = [r * 1e200 for r in raw["rho"]]
-    _assert_rejected(*_run(capsys, ["analyze", _write_raw(tmp_path, raw)]))
+    # one fixture per closed-form route: 2+1, 3+1, 1+1+1 and 1+1+1+1
+    for make in (double_double, triple_plus_single, three_singles, four_singles):
+        raw = _raw(tmp_path, make())
+        for item in raw["anchors"] + raw["points_v"]:
+            item["x"] *= 1e200
+            item["y"] *= 1e200
+        raw["rho"] = [r * 1e200 for r in raw["rho"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning fails the test
+            _assert_rejected(*_run(capsys, ["analyze", _write_raw(tmp_path, raw)]))
+
+
+def test_integer_too_long_to_convert_is_an_error(tmp_path, capsys):
+    text = json.dumps(_raw(tmp_path, double_double())).replace('"schedule": [1', '"schedule": [' + "1" * 5000, 1)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    _assert_rejected(*_run(capsys, ["analyze", str(path)]))
 
 
 def test_placement_values_may_start_with_a_minus_sign(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from constructa import (
+    ConstructaError,
     CriticalLineKind,
     DegenerateInput,
     EmptyDomain,
@@ -42,12 +43,16 @@ from constructa import (
     with_measurements,
 )
 from helpers import (
+    CLOSE_ROOTS_TRUTH,
     CRITICAL_Q3_ON,
     ROTATION_ETA,
+    THREE_SINGLES_ANCHORS,
+    THREE_SINGLES_PTS,
     TRUTH_A,
     TRUTH_B,
     TRUTH_C,
     clean_multi_anchor,
+    close_roots_three_singles,
     double_double,
     double_double_off_critical_line,
     double_double_on_critical_line,
@@ -56,8 +61,10 @@ from helpers import (
     each_in,
     four_singles,
     oracle_transforms,
+    random_transform,
     rotation_pathology,
     same_transform,
+    sample_features,
     scen,
     single_coincident,
     single_collinear_off,
@@ -67,6 +74,7 @@ from helpers import (
     tangent_three_singles,
     tangent_triple_plus_single,
     three_singles,
+    three_singles_circle_family,
     translation_pathology,
     triple_plus_double,
     triple_plus_single,
@@ -104,6 +112,9 @@ def test_delta_angle_branches():
         delta_angle(0.0, 1.0, 1.0)
     with pytest.raises(NonPositiveInput):
         delta_angle(1.0, 1.0, -0.5)
+    # squares beyond float range leave no cosine to clamp
+    with pytest.raises(ConstructaError):
+        delta_angle(1e200, 1e200, 1e200)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +344,44 @@ def test_1p1p1_tangency_is_flagged():
     assert len(res.solutions) == 1
     assert res.case2
     assert res.tangent_flags == (True,)
+
+
+def test_1p1p1_close_roots_are_both_found():
+    s = close_roots_three_singles()
+    res = solve_1p1p1(s)
+    assert len(res.transforms) == 6
+    _assert_zero_residuals(s, res.transforms)
+    assert any(same_transform(t, CLOSE_ROOTS_TRUTH, 1e-7, 1e-7) for t in res.transforms)
+
+
+def test_1p1p1_random_draws_stay_within_six_and_keep_the_truth():
+    rng = np.random.default_rng(20)
+    for trial in range(500):
+        anchors, pts = sample_features(rng, 3, 3)
+        truth = random_transform(rng)
+        s = scen(anchors, pts, [1, 2, 3], truth=truth)
+        res = solve_1p1p1(s)
+        assert 1 <= len(res.transforms) <= 6, (trial, len(res.transforms))
+        assert any(same_transform(t, truth, 1e-6, 1e-6) for t in res.transforms), trial
+
+
+def test_1p1p1_truth_at_phi_pi():
+    truth = RigidTransform2(0.2, 0.5, math.pi)
+    s = scen(THREE_SINGLES_ANCHORS, THREE_SINGLES_PTS, [1, 2, 3], truth=truth)
+    res = solve_1p1p1(s)
+    _assert_zero_residuals(s, res.transforms)
+    assert any(same_transform(t, truth, 1e-7, 1e-7) for t in res.transforms)
+
+
+def test_1p1p1_family_at_one_heading_goes_to_the_grid():
+    # at phi = 0 every offset on a unit circle fits all three ranges; the
+    # linear system in the offset is singular there
+    s = three_singles_circle_family()
+    with pytest.raises(DegenerateInput):
+        solve_1p1p1(s)
+    ga = analyze_global(s)
+    assert ga.method == "grid-oracle"
+    assert ga.ind.family_dim == 1
 
 
 def test_1p1p1_locus_samples():

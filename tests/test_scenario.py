@@ -183,6 +183,9 @@ def test_loads_rejects_malformed_documents():
         with pytest.raises(ParseError):
             loads_scenario(json.dumps(doc))
     doc["points_v"] = [{"x": 0.5, "y": 0.0}]
+    # an integer literal longer than Python converts from text
+    with pytest.raises(ParseError):
+        loads_scenario(json.dumps(doc).replace("0.5", "1" * 5000))
     assert loads_scenario(json.dumps(doc)).n_measurements == 1
     doc["schedule"] = [True]
     with pytest.raises(ParseError):
