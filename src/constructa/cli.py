@@ -25,7 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConstructaError, SchemaError
+from .errors import ConstructaError, NonPositiveInput, SchemaError
 from .geom import RigidTransform2
 from .global_analysis import analyze_global, locus_1p1p1, sample_family_1p1
 from .local_analysis import (
@@ -142,12 +142,15 @@ def _grid(args, s) -> GridSpec | None:
     kw = {}
     if extent is not None:
         kw["extent"] = extent
-    if cell is not None:
-        reach = extent if extent is not None else auto_extent(s)
-        kw["nxy"] = max(9, 2 * math.ceil(reach / cell) + 1)
     if phi_cells is not None:
         kw["phi_cells"] = phi_cells
-    return GridSpec(**kw)
+    grid = GridSpec(**kw)  # checks the extent before it sizes the cells
+    if cell is None:
+        return grid
+    if not (math.isfinite(cell) and cell > 0.0):
+        raise NonPositiveInput("grid cell must be positive and finite")
+    reach = grid.extent if grid.extent is not None else auto_extent(s)
+    return replace(grid, nxy=max(9, 2 * math.ceil(reach / cell) + 1))
 
 
 def cmd_analyze(args) -> int:
@@ -242,7 +245,7 @@ def cmd_gramian(args) -> int:
         ],
     }
     if args.numeric:
-        num = numerical_gramian(s, placement, max_step=args.max_step)
+        num = numerical_gramian(s, placement)
         payload["numeric_max_diff"] = float(np.max(np.abs(num - report.matrix)))
     _emit(_report(payload), args.out)
     return 0 if report.rank == 3 else 2
@@ -336,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p)
     p.add_argument("--tol-rank", type=float, default=None, help="relative eigenvalue cutoff for rank")
     p.add_argument("--placement", default=None, help="evaluate at this placement 'dx,dy,phi'")
-    p.add_argument("--numeric", action="store_true", help="cross-check against integrated sensitivities")
-    p.add_argument("--max-step", type=float, default=0.01, help="integrator step for --numeric")
+    p.add_argument("--numeric", action="store_true", help="cross-check against the flow's transition matrices")
     p.set_defaults(func=cmd_gramian)
 
     p = sub.add_parser("plotdata", help="CSV samples for plotting")

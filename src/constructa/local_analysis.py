@@ -4,9 +4,10 @@ Each range measurement contributes one row to a linearized observation
 operator on the final vehicle state (x_f, y_f, theta_f). The accumulated
 3x3 Gramian is rank 3 exactly when no infinitesimal rigid perturbation of
 the placement preserves every range to first order. Rows come in closed
-form from the placed geometry; an independent numerical path integrates
-state sensitivities along the control history and must agree, which makes
-it a useful oracle for the closed form.
+form from the placed geometry. A second path, for scenarios that carry
+controls, propagates each range gradient to the final state through the
+unicycle flow's state-transition matrix; it never reads the placed
+trajectory for that, so its agreement checks the closed form.
 """
 
 from __future__ import annotations
@@ -101,16 +102,16 @@ def _placement_jacobian(placement: RigidTransform2) -> np.ndarray:
     return np.array([[c, -sn, 0.0], [sn, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def numerical_gramian(
-    s: Scenario, placement: RigidTransform2 | None = None, max_step: float = 0.01
-) -> np.ndarray:
-    """Gramian from integrated state sensitivities, as an independent check.
+def numerical_gramian(s: Scenario, placement: RigidTransform2 | None = None) -> np.ndarray:
+    """Gramian from the flow's state-transition matrices, as an independent check.
 
     Needs the scenario's control history. The vehicle-frame trajectory is
     re-integrated and must match the stored sample points, otherwise the
     scenario is self-contradictory and InconsistentControls is raised. Each
-    measurement row is the range gradient propagated from its sample time to
-    the final sample time through the flow's state transition matrix.
+    measurement row is the range gradient at its sample time carried to the
+    final sample time through the inverse of `sensitivity` from that sample
+    time to the last. That matrix is I + N with N @ N = 0, so its inverse is
+    I - N.
     """
     if s.controls is None or s.sample_times is None:
         raise SchemaError("scenario carries no control history to integrate")
@@ -140,8 +141,7 @@ def numerical_gramian(
         if rho <= 1e-12:
             raise ZeroRange("measured point coincides with its anchor")
         h = np.array([ex / rho, ey / rho, 0.0])
-        m = sensitivity(s.controls, times[k], t_f, max_step=max_step)
-        phi_v = np.linalg.inv(m)
+        phi_v = 2.0 * np.eye(3) - sensitivity(s.controls, times[k], t_f)
         row = h @ (jac @ phi_v @ jac_inv)
         g += np.outer(row, row)
     return g

@@ -214,8 +214,8 @@ def synthesize_measurements(
     Gaussian noise of the given standard deviation is added with a seeded
     generator so synthesis is reproducible. Negative noisy ranges clamp to 0.
     """
-    if noise_std < 0.0:
-        raise SchemaError("noise_std must be nonnegative")
+    if not (math.isfinite(noise_std) and noise_std >= 0.0):
+        raise SchemaError("noise_std must be finite and nonnegative")
     world = truth.apply_array(s.points_array())
     anchors = s.anchor_positions()
     rho = np.linalg.norm(world - anchors, axis=1)

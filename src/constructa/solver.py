@@ -83,8 +83,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_starts < 1 or self.max_iter < 1:
             raise NonPositiveInput("n_starts and max_iter must be positive")
-        if self.accept_tol <= 0.0:
-            raise NonPositiveInput("accept_tol must be positive")
+        if not (math.isfinite(self.accept_tol) and self.accept_tol > 0.0):
+            raise NonPositiveInput("accept_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nxy < 9 or self.phi_cells < 8:
             raise NonPositiveInput("grid too small to be meaningful")
-        if self.extent is not None and self.extent <= 0.0:
-            raise NonPositiveInput("extent must be positive")
+        if self.extent is not None and not (math.isfinite(self.extent) and self.extent > 0.0):
+            raise NonPositiveInput("extent must be positive and finite")
 
 
 @dataclass(frozen=True)

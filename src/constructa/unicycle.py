@@ -2,9 +2,12 @@
 
 State is (x, y, theta) with xdot = v cos(theta), ydot = v sin(theta),
 thetadot = omega. With constant (v, omega) each segment integrates in closed
-form, so sampled trajectories are exact. The state-transition Jacobian is
-integrated numerically on purpose: it feeds an independent cross-check of
-quantities that are elsewhere derived analytically.
+form, so sampled trajectories are exact. So is the state-transition matrix:
+the controls do not depend on the state, so a change of position at t0
+shifts the rest of the path and a change of heading rotates it about the
+position at t0. `sensitivity` takes those positions from the flow, which
+keeps the numerical Gramian an independent check of the closed-form rows
+built from the placed geometry.
 """
 
 from __future__ import annotations
@@ -16,9 +19,6 @@ import numpy as np
 
 from .errors import NonPositiveInput, TimeOutOfRange
 from .geom import Point2, wrap_angle
-
-# below this |omega| the arc is treated as straight
-_OMEGA_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,6 @@ class UnicycleControls:
             out.append(out[-1] + seg.duration)
         return out
 
-    def at(self, t: float) -> ControlSegment:
-        """Active segment at time t; boundaries belong to the later segment."""
-        bounds = self.boundaries()
-        t = _check_time(t, bounds[-1])
-        for i, seg in enumerate(self.segments):
-            if t < bounds[i + 1] or i == len(self.segments) - 1:
-                return seg
-        return self.segments[-1]
-
 
 def _check_time(t: float, total: float) -> float:
     slack = 1e-9 * max(1.0, total)
@@ -91,13 +82,16 @@ def _check_time(t: float, total: float) -> float:
 
 
 def _advance(state: tuple[float, float, float], seg: ControlSegment, dt: float):
-    """Exact flow of one constant-control piece over dt >= 0."""
+    """Exact flow of one constant-control piece over dt >= 0.
+
+    The chord of the arc has length v dt sin(h)/h along the mean heading
+    th + h, h = omega dt / 2. Unlike (v/omega)(sin th1 - sin th) this keeps
+    full precision as omega goes to 0, where it becomes the straight line.
+    """
     x, y, th = state
-    if abs(seg.omega) > _OMEGA_EPS:
-        th1 = th + seg.omega * dt
-        r = seg.v / seg.omega
-        return (x + r * (math.sin(th1) - math.sin(th)), y - r * (math.cos(th1) - math.cos(th)), th1)
-    return (x + seg.v * dt * math.cos(th), y + seg.v * dt * math.sin(th), th)
+    h = 0.5 * seg.omega * dt
+    chord = seg.v * dt * (math.sin(h) / h if h != 0.0 else 1.0)
+    return (x + chord * math.cos(th + h), y + chord * math.sin(th + h), th + seg.omega * dt)
 
 
 def integrate(controls: UnicycleControls, t: float, initial: UnicycleState | None = None) -> UnicycleState:
@@ -135,61 +129,21 @@ def controls_to_trajectory_v(controls: UnicycleControls, sample_times, initial: 
     return TrajectoryV(points, headings)
 
 
-def _jacobian(seg: ControlSegment, theta: float) -> np.ndarray:
-    """d(state rate)/d(state) at heading theta under segment controls."""
-    return np.array(
-        [
-            [0.0, 0.0, -seg.v * math.sin(theta)],
-            [0.0, 0.0, seg.v * math.cos(theta)],
-            [0.0, 0.0, 0.0],
-        ]
-    )
+def sensitivity(controls: UnicycleControls, t_from: float, t_to: float) -> np.ndarray:
+    """State-transition matrix d state(t_to) / d state(t_from), t_from <= t_to.
 
-
-def sensitivity(
-    controls: UnicycleControls,
-    t_from: float,
-    t_to: float,
-    initial: UnicycleState | None = None,
-    max_step: float = 0.01,
-) -> np.ndarray:
-    """State-transition Jacobian d state(t_to) / d state(t_from), t_from <= t_to.
-
-    Computed by fourth-order Runge-Kutta on M'(s) = -M A(s) running backward
-    from t_to, where A is the linearized dynamics. Steps never straddle a
-    control switch, so A stays smooth inside every step. Heading along the
-    way comes from the exact flow.
+    Exact under piecewise-constant controls: [[1, 0, -(y1 - y0)],
+    [0, 1, x1 - x0], [0, 0, 1]] with (x0, y0) and (x1, y1) the positions of
+    the flow at t_from and t_to.
     """
-    if max_step <= 0.0:
-        raise NonPositiveInput("max_step must be positive")
-    if initial is None:
-        initial = UnicycleState(0.0, 0.0, 0.0)
-    bounds = controls.boundaries()
-    t_from = _check_time(t_from, bounds[-1])
-    t_to = _check_time(t_to, bounds[-1])
+    total = controls.boundaries()[-1]
+    t_from = _check_time(t_from, total)
+    t_to = _check_time(t_to, total)
     if t_from > t_to:
         raise TimeOutOfRange(f"t_from {t_from} exceeds t_to {t_to}")
-
-    # cut [t_from, t_to] at segment boundaries, walk pieces from the far end
-    cuts = [t_from] + [b for b in bounds if t_from < b < t_to] + [t_to]
-    # heading within a piece: theta(s) = theta(piece start) + omega (s - start),
-    # the piece start state coming from the exact flow
+    p0 = integrate(controls, t_from)
+    p1 = integrate(controls, t_to)
     m = np.eye(3)
-    for lo, hi in reversed(list(zip(cuts[:-1], cuts[1:]))):
-        if hi - lo <= 0.0:
-            continue
-        seg = controls.at(lo)
-        th0 = integrate(controls, lo, initial).theta
-        n = max(1, math.ceil((hi - lo) / max_step))
-        h = (hi - lo) / n
-        theta_at = lambda s: th0 + seg.omega * (s - lo)
-
-        s = hi
-        for _ in range(n):
-            k1 = -m @ _jacobian(seg, theta_at(s))
-            k2 = -(m - 0.5 * h * k1) @ _jacobian(seg, theta_at(s - 0.5 * h))
-            k3 = -(m - 0.5 * h * k2) @ _jacobian(seg, theta_at(s - 0.5 * h))
-            k4 = -(m - h * k3) @ _jacobian(seg, theta_at(s - h))
-            m = m - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            s -= h
+    m[0, 2] = -(p1.y - p0.y)
+    m[1, 2] = p1.x - p0.x
     return m

@@ -135,7 +135,7 @@ def test_gramian_full_rank(tmp_path, capsys):
 
 def test_gramian_numeric_cross_check(tmp_path, capsys):
     path = _write(tmp_path, driven_scenario())
-    code, out, _ = _run(capsys, ["gramian", path, "--numeric", "--max-step", "0.005"])
+    code, out, _ = _run(capsys, ["gramian", path, "--numeric"])
     assert code == 0
     payload = json.loads(out)
     assert payload["numeric_max_diff"] < 1e-6
@@ -299,6 +299,18 @@ def test_non_finite_number_is_an_error(tmp_path, capsys):
     raw = _raw(tmp_path, double_double())
     raw["points_v"][2]["x"] = math.nan
     _assert_rejected(*_run(capsys, ["analyze", _write_raw(tmp_path, raw)]))
+    # and on the command line: gates, grid sizes and noise must be finite and positive
+    path = _write(tmp_path, double_double())
+    for argv in (
+        ["analyze", path, "--tol-accept", "nan"],
+        ["localize", path, "--method", "multistart", "--tol-accept", "inf"],
+        ["localize", path, "--method", "oracle", "--grid-extent", "nan"],
+        ["localize", path, "--method", "oracle", "--grid-cell", "0"],
+        ["localize", path, "--method", "oracle", "--grid-cell", "nan"],
+        ["localize", path, "--method", "oracle", "--grid-cell", "-1"],
+        ["simulate", path, "--truth", "0.1,0.2,0.3", "--noise", "nan"],
+    ):
+        _assert_rejected(*_run(capsys, argv))
 
 
 def test_overflowing_lengths_are_an_error(tmp_path, capsys):
@@ -333,7 +345,9 @@ def test_placement_values_may_start_with_a_minus_sign(tmp_path, capsys):
 
 def test_usage_error_is_rejected_input(tmp_path, capsys):
     path = _write(tmp_path, double_double())
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", path, "--no-such-flag"])
-    captured = capsys.readouterr()
-    _assert_rejected(exc.value.code, captured.out, captured.err)
+    # --max-step went with the integrator whose step it set
+    for argv in (["analyze", path, "--no-such-flag"], ["gramian", path, "--numeric", "--max-step", "0.01"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        _assert_rejected(exc.value.code, captured.out, captured.err)

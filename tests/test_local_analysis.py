@@ -54,7 +54,7 @@ def test_gramian_report_shape_and_spectrum():
 def test_closed_form_matches_integrated_transition():
     s = driven_scenario()
     closed = build_gramian(s, placement=TRUTH).matrix
-    numeric = numerical_gramian(s, placement=TRUTH, max_step=0.005)
+    numeric = numerical_gramian(s, placement=TRUTH)
     lam = float(np.linalg.eigvalsh(closed)[-1])
     assert float(np.max(np.abs(numeric - closed))) <= 1e-8 * max(lam, 1.0)
 

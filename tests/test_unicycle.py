@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from constructa import (
     ControlSegment,
@@ -99,13 +101,6 @@ def test_time_bounds_enforced():
     integrate(CONTROLS, CONTROLS.total_duration + 1e-12)
 
 
-def test_segment_lookup_boundaries():
-    assert CONTROLS.at(0.0).v == 1.0
-    assert CONTROLS.at(2.0).v == 0.8
-    assert CONTROLS.at(3.5).v == 1.2
-    assert CONTROLS.at(5.5).v == 1.2
-
-
 def test_validation():
     with pytest.raises(NonPositiveInput):
         ControlSegment(1.0, 0.0, 0.0)
@@ -126,11 +121,36 @@ def test_trajectory_sampling_anchors_vehicle_frame_at_start():
     np.testing.assert_allclose(traj.headings, [st.theta for st in states])
 
 
-def test_sensitivity_matches_finite_differences():
-    t_from, t_to = 0.9, 4.7
-    m = sensitivity(CONTROLS, t_from, t_to, max_step=0.002)
+@hst.composite
+def _controls_and_times(draw):
+    """Controls with some straight (omega = 0) pieces, and t_from <= t_to
+    drawn from the segment boundaries as often as from inside the segments."""
+    segments = draw(hst.lists(
+        hst.builds(
+            ControlSegment,
+            v=hst.floats(-2.0, 2.0),
+            omega=hst.one_of(hst.just(0.0), hst.floats(-1.5, 1.5)),
+            duration=hst.floats(0.1, 2.0),
+        ),
+        min_size=1,
+        max_size=4,
+    ))
+    controls = UnicycleControls(tuple(segments))
+    bounds = controls.boundaries()
+    when = hst.one_of(hst.sampled_from(bounds), hst.floats(0.0, bounds[-1]))
+    t_from, t_to = sorted((draw(when), draw(when)))
+    return controls, t_from, t_to
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@example((CONTROLS, 0.9, 4.7))
+@example((UnicycleControls((ControlSegment(1.0, 1.0, 1.0), ControlSegment(1.5, 1e-7, 2.0))), 0.5, 3.0))
+@given(_controls_and_times())
+def test_sensitivity_matches_finite_differences(case):
+    controls, t_from, t_to = case
+    m = sensitivity(controls, t_from, t_to)
     eps = 1e-6
-    base = integrate(CONTROLS, t_from)
+    base = integrate(controls, t_from)
     fd = np.zeros((3, 3))
     for j in range(3):
         d = np.zeros(3)
@@ -138,12 +158,9 @@ def test_sensitivity_matches_finite_differences():
         plus = UnicycleState(base.x + d[0], base.y + d[1], base.theta + d[2])
         minus = UnicycleState(base.x - d[0], base.y - d[1], base.theta - d[2])
         # restart the flow at t_from and advance to t_to
-        rest = UnicycleControls(
-            tuple(ControlSegment(s.v, s.omega, s.duration) for s in CONTROLS.segments)
-        )
-        hi = _shifted_state(rest, t_from, t_to, plus)
-        lo = _shifted_state(rest, t_from, t_to, minus)
-        fd[:, j] = (hi - lo) / (2 * eps)
+        diff = _shifted_state(controls, t_from, t_to, plus) - _shifted_state(controls, t_from, t_to, minus)
+        diff[2] = math.remainder(diff[2], 2 * math.pi)  # headings come back wrapped
+        fd[:, j] = diff / (2 * eps)
     np.testing.assert_allclose(m, fd, atol=5e-6)
 
 
@@ -151,16 +168,13 @@ def _shifted_state(controls, t_from, t_to, start):
     """Integrate the tail [t_from, t_to] from an arbitrary start state."""
     bounds = controls.boundaries()
     state = (start.x, start.y, start.theta)
-    t = t_from
     for i, seg in enumerate(controls.segments):
-        lo, hi = bounds[i], bounds[i + 1]
-        if hi <= t_from or lo >= t_to:
+        dt = min(bounds[i + 1], t_to) - max(bounds[i], t_from)
+        if dt <= 0.0:
             continue
-        dt = min(hi, t_to) - max(lo, t_from)
         sub = UnicycleControls((ControlSegment(seg.v, seg.omega, dt),))
-        st = integrate(sub, dt, UnicycleState(*state))
-        state = (st.x, st.y, st.theta)
-        t += dt
+        end = integrate(sub, dt, UnicycleState(*state))
+        state = (end.x, end.y, end.theta)
     return np.array(state)
 
 
@@ -173,5 +187,3 @@ def test_sensitivity_structure():
     np.testing.assert_allclose(sensitivity(CONTROLS, 1.0, 1.0), np.eye(3), atol=1e-12)
     with pytest.raises(TimeOutOfRange):
         sensitivity(CONTROLS, 3.0, 1.0)
-    with pytest.raises(NonPositiveInput):
-        sensitivity(CONTROLS, 0.0, 1.0, max_step=0.0)
