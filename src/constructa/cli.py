@@ -150,6 +150,8 @@ def _grid(args, s) -> GridSpec | None:
     if not (math.isfinite(cell) and cell > 0.0):
         raise NonPositiveInput("grid cell must be positive and finite")
     reach = grid.extent if grid.extent is not None else auto_extent(s)
+    if not math.isfinite(reach / cell):
+        raise NonPositiveInput("grid cell too small for the extent")
     return replace(grid, nxy=max(9, 2 * math.ceil(reach / cell) + 1))
 
 

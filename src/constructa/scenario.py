@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import MissingMeasurements, ParseError, SchemaError
+from .errors import MissingMeasurements, NonPositiveInput, ParseError, SchemaError
 from .geom import Point2, RigidTransform2, collinear
 
 
@@ -216,6 +216,8 @@ def synthesize_measurements(
     """
     if not (math.isfinite(noise_std) and noise_std >= 0.0):
         raise SchemaError("noise_std must be finite and nonnegative")
+    if seed < 0:
+        raise NonPositiveInput("seed must be nonnegative")
     world = truth.apply_array(s.points_array())
     anchors = s.anchor_positions()
     rho = np.linalg.norm(world - anchors, axis=1)

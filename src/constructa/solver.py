@@ -20,8 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.stats import qmc
 
 from .errors import NonPositiveInput, SchemaError
 from .geom import RigidTransform2, angle_diff, wrap_angle
@@ -83,8 +81,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_starts < 1 or self.max_iter < 1:
             raise NonPositiveInput("n_starts and max_iter must be positive")
+        if self.seed < 0:
+            raise NonPositiveInput("seed must be nonnegative")
         if not (math.isfinite(self.accept_tol) and self.accept_tol > 0.0):
             raise NonPositiveInput("accept_tol must be positive and finite")
+
+
+# most cells the oracle rasters in one piece: 2**27 float32 cells are 512 MiB
+_MAX_CELLS = 2**27
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,8 @@ class GridSpec:
             raise NonPositiveInput("grid too small to be meaningful")
         if self.extent is not None and not (math.isfinite(self.extent) and self.extent > 0.0):
             raise NonPositiveInput("extent must be positive and finite")
+        if self.nxy * self.nxy * self.phi_cells > _MAX_CELLS:
+            raise NonPositiveInput("grid has more than 2**27 cells (nxy * nxy * phi_cells)")
 
 
 @dataclass(frozen=True)
@@ -283,6 +289,9 @@ def solve_multistart(s: Scenario, config: SolverConfig = SolverConfig()) -> Solu
     are reproducible. Finds isolated solutions; continuous families show up
     as many accepted points and are flagged, not resolved, here.
     """
+    # imported here: scipy.stats takes about 0.8 s to load, and the closed forms never need it
+    from scipy.stats import qmc
+
     pts, anchors, rhos = _problem_arrays(s)
     extent = auto_extent(s)
     sampler = qmc.Halton(d=3, scramble=True, seed=config.seed)
@@ -419,6 +428,9 @@ def brute_force_oracle(
     yields well-separated exact solutions whose residual Jacobian is rank
     deficient; the family dimension is read off the rank drop.
     """
+    # imported here: scipy.ndimage takes about 0.4 s to load, and only the oracle labels a raster
+    from scipy import ndimage
+
     pts, anchors, rhos = _problem_arrays(s)
     rank_tol = s.tolerances.rank
     tol_xy, tol_phi = s.tolerances.dedup

@@ -299,7 +299,7 @@ def test_non_finite_number_is_an_error(tmp_path, capsys):
     raw = _raw(tmp_path, double_double())
     raw["points_v"][2]["x"] = math.nan
     _assert_rejected(*_run(capsys, ["analyze", _write_raw(tmp_path, raw)]))
-    # and on the command line: gates, grid sizes and noise must be finite and positive
+    # and on the command line: gates, grid sizes, noise and seeds must be finite and in range
     path = _write(tmp_path, double_double())
     for argv in (
         ["analyze", path, "--tol-accept", "nan"],
@@ -308,7 +308,14 @@ def test_non_finite_number_is_an_error(tmp_path, capsys):
         ["localize", path, "--method", "oracle", "--grid-cell", "0"],
         ["localize", path, "--method", "oracle", "--grid-cell", "nan"],
         ["localize", path, "--method", "oracle", "--grid-cell", "-1"],
+        # rasters of 4.0e12 and 6.1e10 cells, and a cell count that overflows a float
+        ["localize", path, "--method", "oracle", "--phi-cells", "100000000"],
+        ["localize", path, "--method", "oracle", "--grid-cell", "1e-4"],
+        ["localize", path, "--method", "oracle", "--grid-cell", "1e-310"],
         ["simulate", path, "--truth", "0.1,0.2,0.3", "--noise", "nan"],
+        ["localize", path, "--method", "multistart", "--seed", "-1"],
+        ["simulate", path, "--truth", "0,0,0", "--noise", "0.1", "--seed", "-1"],
+        ["analyze", path, "--seed", "-1"],
     ):
         _assert_rejected(*_run(capsys, argv))
 

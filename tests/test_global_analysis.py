@@ -1,10 +1,17 @@
 """Exact ambiguity constructions, critical lines, pathologies, verdicts."""
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+import constructa
+from constructa import global_analysis
 from constructa import (
     ConstructaError,
     CriticalLineKind,
@@ -24,10 +31,12 @@ from constructa import (
     brute_force_oracle,
     critical_lines_2p2,
     critical_lines_next_point,
+    dedup_solutions,
     delta_angle,
     detect_pathologies,
     locus_1p1p1,
     point_line_distance,
+    polish_solution,
     residuals,
     sample_family_1p1,
     single_anchor_family,
@@ -656,3 +665,93 @@ def test_scenario_dedup_tolerance_governs_every_route():
     s = replace(double_plus_single(), tolerances=loose)
     assert solve_multistart(s).ind_class == IndClass.finite(1)
     assert brute_force_oracle(s, GridSpec(nxy=61, phi_cells=90)).ind_class == IndClass.finite(1)
+
+
+# ---------------------------------------------------------------------------
+# filtering a sub-pattern's candidates against the further ranges
+
+# every fixture with ranges whose analysis takes a closed form, not the grid
+CLOSED_FORM_FIXTURES = (
+    "clean_multi_anchor", "close_roots_three_singles", "double_double", "double_double_off_critical_line",
+    "double_double_on_critical_line", "double_plus_single", "double_plus_two_singles", "four_singles",
+    "rotation_pathology", "single_coincident", "single_collinear_off", "single_collinear_on",
+    "single_generic", "tangent_double_plus_single", "tangent_three_singles", "tangent_triple_plus_single",
+    "three_singles", "translation_pathology", "triple_plus_double", "triple_plus_single",
+    "triple_plus_two_singles", "two_anchor_clipped_both", "two_anchor_merged", "two_anchor_single_window",
+    "two_anchor_two_loops",
+)
+
+
+def test_closed_forms_load_no_scipy():
+    # scipy serves only multistart and the grid oracle; a fresh interpreter shows what was loaded
+    code = (
+        "import sys, constructa, helpers\n"
+        f"for name in {CLOSED_FORM_FIXTURES!r}:\n"
+        "    assert constructa.analyze_global(getattr(helpers, name)()).method != 'grid-oracle', name\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(constructa.__file__))
+    path = os.pathsep.join((src, os.path.dirname(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "make, calls",
+    [(double_double, 1), (three_singles, 2), (triple_plus_double, 1), (four_singles, 3)],
+)
+def test_far_candidates_are_not_polished(monkeypatch, make, calls):
+    # only candidates on a placement of the full scenario reach LM, and 1+1+1 is polished once
+    seen = []
+
+    def counting(s, t, config):
+        seen.append(t)
+        return polish_solution(s, t, config)
+
+    monkeypatch.setattr(global_analysis, "polish_solution", counting)
+    analyze_global(make())
+    assert len(seen) == calls
+
+
+def _polish_every_candidate(s, transforms, config):
+    """The filter without its residual pre-check: LM on every candidate, then dedup."""
+    polished = (polish_solution(s, t, config) for t in transforms)
+    return dedup_solutions((sol for sol in polished if sol is not None), *s.tolerances.dedup)
+
+
+def _outcome(s):
+    try:
+        ga = analyze_global(s)
+    except ConstructaError as e:
+        return type(e).__name__, ()
+    sols = ga.solutions.solutions
+    decision = (ga.verdict, ga.ind, ga.method, ga.degenerate_case, ga.critical_line_hit)
+    return (*decision, tuple(sol.rank for sol in sols)), sols
+
+
+_OVERDETERMINED = {
+    "2+2": (1, 1, 2, 2),
+    "2+1+1": (1, 1, 2, 3),
+    "3+2": (1, 1, 1, 2, 2),
+    "1+1+1+1": (1, 2, 3, 4),
+    "2+2+2": (1, 1, 2, 2, 3, 3),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(pattern=hst.sampled_from(sorted(_OVERDETERMINED)), seed=hst.integers(0, 2**32 - 1))
+def test_dropping_far_candidates_keeps_every_placement(pattern, seed):
+    schedule = _OVERDETERMINED[pattern]
+    rng = np.random.default_rng(seed)
+    anchors, pts = sample_features(rng, len(schedule), max(schedule))
+    s = scen(anchors, pts, schedule, truth=random_transform(rng))
+    decision, sols = _outcome(s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(global_analysis, "_filter_candidates", _polish_every_candidate)
+        want_decision, want_sols = _outcome(s)
+    assert decision == want_decision
+    for got, want in zip(sols, want_sols):
+        assert same_transform(got.transform, want.transform, 1e-9, 1e-9)

@@ -120,9 +120,15 @@ def test_solver_config_validation():
     with pytest.raises(NonPositiveInput):
         SolverConfig(accept_tol=0.0)
     with pytest.raises(NonPositiveInput):
+        SolverConfig(seed=-1)
+    with pytest.raises(NonPositiveInput):
         GridSpec(nxy=4)
     with pytest.raises(NonPositiveInput):
         GridSpec(extent=-1.0)
+    # the raster is capped at 2**27 cells; the largest grid in use, 401x401x720, fits
+    with pytest.raises(NonPositiveInput):
+        GridSpec(nxy=401, phi_cells=835)
+    GridSpec(nxy=401, phi_cells=720)
 
 
 def test_translation_bound_covers_all_solutions():
