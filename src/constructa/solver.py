@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveInput, SchemaError
+from .errors import ConstructaError, NonPositiveInput, SchemaError
 from .geom import RigidTransform2, angle_diff, wrap_angle
 from .scenario import Scenario
 
@@ -282,20 +282,42 @@ def auto_extent(s: Scenario) -> float:
     return 1.05 * translation_bound(s) + 0.25
 
 
+def _halton(n: int, seed: int) -> np.ndarray:
+    """First n points of a scrambled Halton sequence in [0, 1)^3, bases 2, 3 and 5.
+
+    Every digit position of every base gets its own random permutation of the
+    digits, drawn from one generator (Owen, "A randomized Halton algorithm in
+    R", arXiv:1706.02808, Algorithm 1). Point i in base b is
+    sum_j perm_j[digit_j(i)] * b**-(j+1), where digit_j(i) is the j-th digit
+    of i in base b, lowest first, and the sum runs in that order.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.zeros((n, 3))
+    for col, base in enumerate((2, 3, 5)):
+        # one permutation per digit whose weight base**-k still moves a double below 1
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q = np.arange(n)
+        weight = 1.0 / base
+        for perm in perms:
+            out[:, col] += perm[q % base] * weight
+            q //= base
+            weight /= base
+    return out
+
+
 def solve_multistart(s: Scenario, config: SolverConfig = SolverConfig()) -> SolutionSet:
     """Quasi-random multistart search over the feasible transform box.
 
-    Start points are a scrambled Halton sequence, so runs with the same seed
-    are reproducible. Finds isolated solutions; continuous families show up
-    as many accepted points and are flagged, not resolved, here.
+    Start points are a scrambled Halton sequence (`_halton`), so runs with
+    the same seed are reproducible. Finds isolated solutions; continuous
+    families show up as many accepted points and are flagged, not resolved,
+    here.
     """
-    # imported here: scipy.stats takes about 0.8 s to load, and the closed forms never need it
-    from scipy.stats import qmc
-
     pts, anchors, rhos = _problem_arrays(s)
     extent = auto_extent(s)
-    sampler = qmc.Halton(d=3, scramble=True, seed=config.seed)
-    u = sampler.random(config.n_starts)
+    u = _halton(config.n_starts, config.seed)
     starts = np.column_stack(
         (
             (2.0 * u[:, 0] - 1.0) * extent,
@@ -321,9 +343,11 @@ def _n_threads() -> int:
         raise SchemaError(f"CONSTRUCTA_THREADS must be an integer, got {raw!r}") from e
     if n < 0:
         raise SchemaError("CONSTRUCTA_THREADS must be >= 0")
+    cpus = os.cpu_count() or 1
     if n == 0:
-        return min(os.cpu_count() or 1, 8)
-    return n
+        return min(cpus, 8)
+    # the pool starts a thread per chunk while none is idle; more than the CPUs only costs
+    return min(n, cpus)
 
 
 def _residual_field(pts, anchors, rhos, xs, ys, phis, chunk) -> np.ndarray:
@@ -356,40 +380,56 @@ def _circular_std(angles: np.ndarray) -> float:
     return math.sqrt(-2.0 * math.log(r))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _label_admitted(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of the admitted cells, phi (axis 0) cyclic, 26-connected.
 
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _merge_phi_wrap(labels: np.ndarray, n_labels: int) -> np.ndarray:
-    """Join clusters adjacent across the phi wrap seam, relabelling in place."""
-    uf = _UnionFind(n_labels + 1)
-    last = labels[-1]
-    first = labels[0]
-    nx, ny = first.shape
-    for ax in (-1, 0, 1):
-        for ay in (-1, 0, 1):
-            a = last[max(0, ax) : nx + min(0, ax), max(0, ay) : ny + min(0, ay)]
-            b = first[max(0, -ax) : nx + min(0, -ax), max(0, -ay) : ny + min(0, -ay)]
-            both = (a > 0) & (b > 0)
-            if np.any(both):
-                for la, lb in set(zip(a[both].tolist(), b[both].tolist())):
-                    uf.union(la, lb)
-    remap = np.arange(n_labels + 1)
-    for i in range(1, n_labels + 1):
-        remap[i] = uf.find(i)
-    return remap[labels]
+    Returns the flat C-order indices of the admitted cells and, for each, the
+    position in that list of the first cell of its component. Only admitted
+    cells are visited. A cell and its admitted successor along y are joined
+    outright. The other forward neighbours are looked up by binary search:
+    straight across y from every cell, diagonally across y only from the
+    ends of a run along y, since inside a run a straight lookup from the next
+    cell finds the same neighbour. Labels join by min-label hooking with
+    pointer jumping.
+    """
+    n_phi, nx, ny = mask.shape
+    # int32 halves the index arrays; GridSpec caps a raster at 2**27 cells
+    cells = np.flatnonzero(mask).astype(np.int32)
+    ip, rest = np.divmod(cells, nx * ny)
+    ix, iy = np.divmod(rest, ny)
+    run = np.flatnonzero((cells[1:] == cells[:-1] + 1) & (iy[:-1] < ny - 1)).astype(np.int32)
+    first = np.ones(cells.size, dtype=bool)
+    first[run + 1] = False
+    last = np.ones(cells.size, dtype=bool)
+    last[run] = False
+    src, dst = [run], [run + 1]
+    for dp, dx in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        for dy, ends in ((0, None), (-1, first), (1, last)):
+            jx, jy = ix + dx, iy + dy
+            inside = (jx >= 0) & (jx < nx) & (jy >= 0) & (jy < ny)
+            if ends is not None:
+                inside &= ends
+            inside = np.flatnonzero(inside).astype(np.int32)
+            nb = (((ip[inside] + dp) % n_phi) * nx + jx[inside]) * ny + jy[inside]
+            pos = np.minimum(np.searchsorted(cells, nb), cells.size - 1)
+            hit = cells[pos] == nb
+            src.append(inside[hit])
+            dst.append(pos[hit])
+    a, b = np.concatenate(src), np.concatenate(dst)
+    label = np.arange(cells.size, dtype=np.int32)
+    while True:
+        la, lb = label[a], label[b]
+        link = la != lb
+        if not np.any(link):
+            return cells, label
+        a, b, la, lb = a[link], b[link], la[link], lb[link]
+        # every label is a root here; hook the larger root of each edge under the smaller
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 def _cluster_seeds(coords: np.ndarray, vals: np.ndarray, scale: np.ndarray, max_seeds: int, min_sep: float):
@@ -423,19 +463,28 @@ def brute_force_oracle(
 
     The (dx, dy, phi) box is rasterized, cells whose center residual is small
     enough that a zero could hide inside are kept, kept cells are grouped by
-    26-connectivity with phi treated as cyclic, and each group is polished
-    from several spread-out seeds. A group is a continuous family when it
-    yields well-separated exact solutions whose residual Jacobian is rank
-    deficient; the family dimension is read off the rank drop.
+    26-connectivity with phi treated as cyclic (`_label_admitted`, which
+    visits the kept cells only), and each group is polished from several
+    spread-out seeds, groups in the C order of their first cell. A group is a
+    continuous family when it yields well-separated exact solutions whose
+    residual Jacobian is rank deficient; the family dimension is read off the
+    rank drop. Raises ConstructaError when the box is too large for the
+    float32 raster to hold its residuals.
     """
-    # imported here: scipy.ndimage takes about 0.4 s to load, and only the oracle labels a raster
-    from scipy import ndimage
-
     pts, anchors, rhos = _problem_arrays(s)
     rank_tol = s.tolerances.rank
     tol_xy, tol_phi = s.tolerances.dedup
 
     extent = grid.extent if grid.extent is not None else auto_extent(s)
+    # the largest residual any cell can carry must fit the float32 raster
+    reach = (
+        extent * math.sqrt(2.0)
+        + float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
+        + float(np.max(np.hypot(anchors[:, 0], anchors[:, 1])))
+        + float(np.max(rhos))
+    )
+    if not reach < float(np.finfo(np.float32).max):
+        raise ConstructaError("grid oracle overflows: extent and lengths too large for a float32 raster")
     cell = 2.0 * extent / grid.nxy
     xs = np.linspace(-extent + 0.5 * cell, extent - 0.5 * cell, grid.nxy)
     ys = xs.copy()
@@ -459,21 +508,16 @@ def brute_force_oracle(
         for ch in chunks:
             vals[ch[0] : ch[-1] + 1] = _residual_field(pts, anchors, rhos, xs, ys, phis, ch)
 
-    mask = vals <= threshold
+    cells, label = _label_admitted(vals <= threshold)
     warnings: list[str] = []
-    if not np.any(mask):
+    if cells.size == 0:
         return SolutionSet((), (), ("no grid cell carries residual below the admission threshold",))
 
-    labels, n_labels = ndimage.label(mask, structure=np.ones((3, 3, 3), dtype=bool))
-    if grid.phi_cells > 1:
-        labels = _merge_phi_wrap(labels, n_labels)
-
-    # group masked cells by label once instead of rescanning per cluster
-    pos_p, pos_x, pos_y = np.nonzero(labels > 0)
-    labs = labels[pos_p, pos_x, pos_y]
-    order = np.argsort(labs, kind="stable")
-    labs_sorted = labs[order]
-    uniq, starts_idx = np.unique(labs_sorted, return_index=True)
+    # group admitted cells by component once instead of rescanning per cluster
+    pos_p, pos_x, pos_y = np.unravel_index(cells, vals.shape)
+    order = np.argsort(label, kind="stable")
+    labs_sorted = label[order]
+    _, starts_idx = np.unique(labs_sorted, return_index=True)
     slices = list(zip(starts_idx, np.append(starts_idx[1:], labs_sorted.size)))
 
     scale = np.array([1.0, 1.0, max(lever, cell)])

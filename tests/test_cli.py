@@ -331,6 +331,21 @@ def test_overflowing_lengths_are_an_error(tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy overflow warning fails the test
             _assert_rejected(*_run(capsys, ["analyze", _write_raw(tmp_path, raw)]))
+    # an oracle box whose residuals a float32 raster cannot hold, on both verbs that raster
+    path = _write(tmp_path, double_double())
+    for extent in ("1e40", "1e308"):
+        for argv in (["localize", path, "--method", "oracle"], ["plotdata", path, "--what", "oracle"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _assert_rejected(*_run(capsys, [*argv, "--grid-extent", extent]))
+    # a box that still fits gives the right answer, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["localize", path, "--method", "oracle", "--grid-extent", "1e20"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["ind"]["rendered"] == "Ind(1)"
+    assert payload["warnings"] == []
 
 
 def test_integer_too_long_to_convert_is_an_error(tmp_path, capsys):

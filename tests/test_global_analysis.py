@@ -39,6 +39,7 @@ from constructa import (
     polish_solution,
     residuals,
     sample_family_1p1,
+    save_scenario,
     single_anchor_family,
     single_anchor_family_for,
     solve_1p1,
@@ -67,6 +68,7 @@ from helpers import (
     double_double_on_critical_line,
     double_plus_single,
     double_plus_two_singles,
+    driven_scenario,
     each_in,
     four_singles,
     oracle_transforms,
@@ -682,13 +684,40 @@ CLOSED_FORM_FIXTURES = (
 )
 
 
-def test_closed_forms_load_no_scipy():
-    # scipy serves only multistart and the grid oracle; a fresh interpreter shows what was loaded
+def test_closed_forms_load_no_scipy(tmp_path):
+    # no verb needs scipy: a fresh interpreter that cannot import it runs the closed forms and every verb
+    files = {}
+    for make in (double_double, two_anchor_two_loops, three_singles, three_singles_circle_family, driven_scenario):
+        files[make.__name__] = str(tmp_path / f"{make.__name__}.json")
+        save_scenario(make(), files[make.__name__])
+    dd = files["double_double"]
+    runs = (
+        (["analyze", dd], 0),
+        (["localize", dd, "--method", "auto"], 0),
+        (["localize", dd, "--method", "multistart"], 0),
+        (["localize", dd, "--method", "oracle"], 0),
+        (["gramian", files["driven_scenario"]], 0),
+        (["gramian", files["driven_scenario"], "--numeric"], 0),
+        (["plotdata", files["two_anchor_two_loops"], "--what", "family"], 0),
+        (["plotdata", files["three_singles"], "--what", "locus"], 0),
+        (["plotdata", dd, "--what", "oracle"], 0),
+        (["simulate", dd, "--truth", "0.1,0.2,0.3"], 0),
+        # the closed form falls back to the grid here
+        (["analyze", files["three_singles_circle_family"]], 2),
+    )
     code = (
-        "import sys, constructa, helpers\n"
+        "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import constructa, helpers\n"
+        "from constructa.cli import main\n"
         f"for name in {CLOSED_FORM_FIXTURES!r}:\n"
         "    assert constructa.analyze_global(getattr(helpers, name)()).method != 'grid-oracle', name\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "codes = []\n"
+        f"for argv in {[argv for argv, _ in runs]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(codes)\n"
+        "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None))\n"
     )
     src = os.path.dirname(os.path.dirname(constructa.__file__))
     path = os.pathsep.join((src, os.path.dirname(__file__)))
@@ -696,7 +725,7 @@ def test_closed_forms_load_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == [str([expected for _, expected in runs]), "[]"]
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,13 @@
 """Least-squares polish, multistart search, dedup, grid oracle."""
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from constructa import solver
 from constructa import (
     GridSpec,
     IndClass,
@@ -174,3 +178,62 @@ def test_oracle_threads_env(monkeypatch):
     monkeypatch.setenv("CONSTRUCTA_THREADS", "banana")
     with pytest.raises(SchemaError):
         brute_force_oracle(s, GridSpec(nxy=61, phi_cells=90))
+    # capped at the CPU count: the pool would start a thread per chunk, so only the setting is read here
+    monkeypatch.setenv("CONSTRUCTA_THREADS", "100000")
+    assert solver._n_threads() == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("n", [1, 64, 1000])
+def test_halton_matches_scipy_bit_for_bit(n):
+    # scipy is no longer a dependency; where it is installed it is the reference
+    qmc = pytest.importorskip("scipy.stats").qmc
+    for seed in range(200):
+        expected = qmc.Halton(d=3, scramble=True, seed=seed).random(n)
+        assert np.array_equal(solver._halton(n, seed), expected), seed
+
+
+def _flood_fill(mask):
+    """Components of a 3-D mask in the C order of their first cell: 26 neighbours, axis 0 cyclic."""
+    n_phi, nx, ny = mask.shape
+    seen, comps = set(), []
+    for start in map(tuple, np.argwhere(mask)):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], []
+        while stack:
+            p, x, y = stack.pop()
+            comp.append(int(np.ravel_multi_index((p, x, y), mask.shape)))
+            for dp in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    for dy in (-1, 0, 1):
+                        q = ((p + dp) % n_phi, x + dx, y + dy)
+                        if 0 <= q[1] < nx and 0 <= q[2] < ny and mask[q] and q not in seen:
+                            seen.add(q)
+                            stack.append(q)
+        comps.append(sorted(comp))
+    return comps
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    shape=hst.tuples(hst.integers(1, 12), hst.integers(1, 12), hst.integers(1, 12)),
+    density=hst.floats(0.05, 0.6),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_label_admitted_matches_a_flood_fill(shape, density, seed):
+    rng = np.random.default_rng(seed)
+    mask = rng.random(shape) < density
+    # the phi seam and the xy edges get twice the density, so wrapped and clipped neighbours are common
+    edge = np.zeros(shape, dtype=bool)
+    edge[[0, -1]] = True
+    edge[:, [0, -1]] = True
+    edge[:, :, [0, -1]] = True
+    mask |= edge & (rng.random(shape) < density)
+    cells, label = solver._label_admitted(mask)
+    assert cells.tolist() == np.flatnonzero(mask).tolist()
+    firsts = np.unique(label)
+    comps = [cells[label == first].tolist() for first in firsts]
+    assert comps == _flood_fill(mask)
+    # a component's label is the position of its first cell
+    assert [comp[0] for comp in comps] == cells[firsts].tolist()
