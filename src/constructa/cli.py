@@ -71,10 +71,9 @@ def _parse_transform(text: str) -> RigidTransform2:
     if len(parts) != 3:
         raise SchemaError("expected a placement as 'dx,dy,phi'")
     try:
-        dx, dy, phi = (float(p) for p in parts)
+        return RigidTransform2(*(float(p) for p in parts))  # a non-finite value is a ValueError too
     except ValueError as e:
         raise SchemaError(f"bad placement {text!r}: {e}") from e
-    return RigidTransform2(dx, dy, phi)
 
 
 def _solution_payload(sol) -> dict:

@@ -7,7 +7,8 @@ families. Small measurement patterns get exact constructions (one anchor;
 one range from each of two or three anchors; two or three ranges from one
 anchor plus one from another). Larger patterns reduce to a small prefix whose
 finite candidate set is then filtered against the remaining ranges. Anything
-degenerate falls back to the dense grid oracle in the solver module.
+degenerate falls back to the dense grid oracle in the solver module. `_route`
+picks the construction for a pattern; `analyze_global` accepts its answer.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 from itertools import combinations
 
 import numpy as np
-from numpy.polynomial.polynomial import polydiv, polymul, polyroots
+from numpy.polynomial.polynomial import polydiv, polyroots
 
 from .errors import (
     ConstructaError,
@@ -201,6 +202,10 @@ def single_anchor_family(
         _, _, vt = np.linalg.svd(arr - center, full_matrices=False)
         v = vt[0]
         t = (arr - center) @ v
+        # with consistent ranges |u| <= 2 big and |t - u| <= big, so no square the fit takes exceeds 16 big^2
+        big = max(float(np.max(np.abs(t))), max(rho))
+        if not math.isfinite(16.0 * big * big):
+            raise ConstructaError("collinear fit overflows: lengths too large to square in floating point")
         # anchor foot u and squared offset h2 from rho_k^2 = (t_k - u)^2 + h2
         a = np.column_stack((-2.0 * t, np.ones_like(t)))
         rhs = np.array(rho) ** 2 - t * t
@@ -209,10 +214,10 @@ def single_anchor_family(
         pred = np.sqrt(np.maximum((t - u) ** 2 + max(h2, 0.0), 0.0))
         if float(np.max(np.abs(pred - np.array(rho)))) > max(degenerate_tol, 1e3 * collinear_tol):
             raise EmptyDomain("ranges are inconsistent with the collinear geometry")
-        h = math.sqrt(max(h2, 0.0))
-        if h <= degenerate_tol:
+        # on the line each range is the distance along it; h2 is a difference of squares, too noisy to test
+        if float(np.max(np.abs(np.abs(t - u) - np.array(rho)))) <= degenerate_tol:
             return SingleAnchorFamily(cls, IndClass.family(1), anchor_on_line=True, line_offset=0.0)
-        return SingleAnchorFamily(cls, IndClass.family(1, branches=2), line_offset=h)
+        return SingleAnchorFamily(cls, IndClass.family(1, branches=2), line_offset=math.sqrt(max(h2, 0.0)))
     return SingleAnchorFamily(cls, IndClass.family(1))
 
 
@@ -251,17 +256,22 @@ class Family1p1:
     transforms: tuple[RigidTransform2, ...]
 
 
+def _pattern(s: Scenario, sizes: tuple[int, ...], what: str):
+    """Anchor groups of `s`, most measurements first, ties in schedule order.
+
+    Raises DegenerateInput naming `what` unless the group sizes are `sizes`.
+    """
+    groups = sorted(anchor_point_sets(s), key=lambda g: len(g[1]), reverse=True)
+    if tuple(len(idxs) for _, idxs in groups) != sizes:
+        raise DegenerateInput(f"expected {what}")
+    return groups
+
+
 def _pair_data(s: Scenario):
-    groups = anchor_point_sets(s)
-    if s.n_measurements != 2 or len(groups) != 2:
-        raise DegenerateInput("expected exactly two measurements from two distinct anchors")
+    (anc0, _), (anc1, _) = _pattern(s, (1, 1), "exactly two measurements from two distinct anchors")
     pts = s.trajectory.points
     rho = s.rho_array()
-    (anc0, i0s), (anc1, i1s) = groups
-    k0, k1 = i0s[0], i1s[0]
-    if (k0, k1) != (0, 1):
-        k0, k1 = sorted((k0, k1))
-    return pts[k0], pts[k1], anc0.position, anc1.position, float(rho[k0]), float(rho[k1])
+    return pts[0], pts[1], anc0.position, anc1.position, float(rho[0]), float(rho[1])
 
 
 def _transform_at(q0, q1, b0, b1, rho0, rho1, phi, branch, tan_tol):
@@ -339,22 +349,25 @@ def solve_1p1(s: Scenario) -> Family1p1:
             IndClass.finite(1), True, False, False, psi0, (math.pi, math.pi), True, True, (t,) if t else ()
         )
 
-    ds2 = 2.0 * d_anchor * s01
-    c_hi = (d_anchor * d_anchor + s01 * s01 - inner * inner) / ds2
-    c_lo = (d_anchor * d_anchor + s01 * s01 - outer * outer) / ds2
+    def cut(side: float) -> float:
+        """Heading offset from psi0 at which the anchor spacing equals `side`, by the cosine rule."""
+        c = (d_anchor * d_anchor + s01 * s01 - side * side) / (2.0 * d_anchor * s01)
+        if not math.isfinite(c):
+            raise ConstructaError("family arc overflows: lengths too large to square in floating point")
+        return math.acos(min(1.0, max(-1.0, c)))
 
     if d_min >= inner + tan:
         a_lo, merged_inner = 0.0, False
     elif d_min > inner - tan:
         a_lo, merged_inner = 0.0, True
     else:
-        a_lo, merged_inner = math.acos(min(1.0, max(-1.0, c_hi))), True
+        a_lo, merged_inner = cut(inner), True
     if d_max <= outer - tan:
         a_hi, merged_outer = math.pi, False
     elif d_max < outer + tan:
         a_hi, merged_outer = math.pi, True
     else:
-        a_hi, merged_outer = math.acos(min(1.0, max(-1.0, c_lo))), True
+        a_hi, merged_outer = cut(outer), True
 
     if a_lo > 0.0 and a_hi < math.pi:
         branches = 2
@@ -484,18 +497,6 @@ class Result2p1:
         return len(self.transforms) == 1 and self.tangent
 
 
-def _split_2p1(s: Scenario):
-    groups = anchor_point_sets(s)
-    if s.n_measurements != 3 or len(groups) != 2:
-        raise DegenerateInput("expected three measurements over two anchors")
-    sizes = sorted(((len(idx), gi) for gi, (_, idx) in enumerate(groups)))
-    if sizes[0][0] != 1 or sizes[1][0] != 2:
-        raise DegenerateInput("expected a 2-plus-1 anchor pattern")
-    g_double = groups[sizes[1][1]]
-    g_single = groups[sizes[0][1]]
-    return g_double, g_single
-
-
 def solve_2p1(s: Scenario) -> Result2p1:
     """All placements for two ranges from one anchor plus one from another.
 
@@ -504,7 +505,7 @@ def solve_2p1(s: Scenario) -> Result2p1:
     remaining range cuts each sign branch down to the intersections of two
     circles, at most four placements in total.
     """
-    (anc1, idx_d), (anc2, idx_s) = _split_2p1(s)
+    (anc1, idx_d), (anc2, idx_s) = _pattern(s, (2, 1), "a 2-plus-1 anchor pattern")
     pts = s.trajectory.points
     rho = s.rho_array()
     q0, q1 = pts[idx_d[0]], pts[idx_d[1]]
@@ -576,14 +577,7 @@ def solve_3p1(s: Scenario) -> Result3p1:
     vehicle frame outright, which welds the whole frame to a rotation about
     that anchor; the last range then picks at most two rotation angles.
     """
-    groups = anchor_point_sets(s)
-    if s.n_measurements != 4 or len(groups) != 2:
-        raise DegenerateInput("expected four measurements over two anchors")
-    sizes = sorted(((len(idx), gi) for gi, (_, idx) in enumerate(groups)))
-    if sizes[0][0] != 1 or sizes[1][0] != 3:
-        raise DegenerateInput("expected a 3-plus-1 anchor pattern")
-    anc1, idx_t = groups[sizes[1][1]]
-    anc2, idx_s = groups[sizes[0][1]]
+    (anc1, idx_t), (anc2, idx_s) = _pattern(s, (3, 1), "a 3-plus-1 anchor pattern")
     pts = s.trajectory.points
     rho = s.rho_array()
     tol = s.tolerances
@@ -674,9 +668,7 @@ def solve_1p1p1(s: Scenario, config: SolverConfig = SolverConfig()) -> Result1p1
     `solve_1p1` instead, and a root at which den vanishes, where the ranges
     do not fix d, raises DegenerateInput.
     """
-    groups = anchor_point_sets(s)
-    if s.n_measurements != 3 or len(groups) != 3:
-        raise DegenerateInput("expected one range from each of three anchors")
+    _pattern(s, (1, 1, 1), "one range from each of three anchors")
     q, b, rho = s.points_array(), s.anchor_positions(), s.rho_array()
     scale = max(float(np.max(np.abs(q))), float(np.max(np.abs(b))), float(np.max(rho)))
     if not math.isfinite(scale * scale):
@@ -703,16 +695,16 @@ def solve_1p1p1(s: Scenario, config: SolverConfig = SolverConfig()) -> Result1p1
     h = (g[0] - g[1:]) / 2.0
 
     at, ht = _in_t(a), _in_t(h)
-    den = polymul(at[0, 0], at[1, 1]) - polymul(at[0, 1], at[1, 0])
-    nx = polymul(ht[0], at[1, 1]) - polymul(at[0, 1], ht[1])
-    ny = polymul(at[0, 0], ht[1]) - polymul(ht[0], at[1, 0])
+    den = np.convolve(at[0, 0], at[1, 1]) - np.convolve(at[0, 1], at[1, 0])
+    nx = np.convolve(ht[0], at[1, 1]) - np.convolve(at[0, 1], ht[1])
+    ny = np.convolve(at[0, 0], ht[1]) - np.convolve(ht[0], at[1, 0])
     # den^2 (|d|^2 + 2 d.u_0 + g_0) for d = (nx, ny) / den, cleared to (1 + t^2)^5
     full = (
-        polymul(_CIRCLE, polymul(nx, nx) + polymul(ny, ny))
-        + 2.0 * polymul(den, polymul(nx, _in_t(u0[0])) + polymul(ny, _in_t(u0[1])))
-        + polymul(polymul(den, den), _in_t(g[0]))
+        np.convolve(_CIRCLE, np.convolve(nx, nx) + np.convolve(ny, ny))
+        + 2.0 * np.convolve(den, np.convolve(nx, _in_t(u0[0])) + np.convolve(ny, _in_t(u0[1])))
+        + np.convolve(np.convolve(den, den), _in_t(g[0]))
     )
-    sextic = polydiv(full, polymul(_CIRCLE, _CIRCLE))[0]
+    sextic = polydiv(full, np.convolve(_CIRCLE, _CIRCLE))[0]
     if not np.any(sextic):
         raise DegenerateInput("the three ranges leave the heading free")
     ts = polyroots(sextic)
@@ -755,14 +747,11 @@ def locus_1p1p1(s: Scenario, n: int = 512) -> np.ndarray:
     Rows are (arc index, branch sign, phi, dx, dy, g) for plotting the scalar
     root structure along the one-parameter family.
     """
-    groups = anchor_point_sets(s)
-    if s.n_measurements != 3 or len(groups) != 3:
-        raise DegenerateInput("expected one range from each of three anchors")
+    groups = _pattern(s, (1, 1, 1), "one range from each of three anchors")
     pts = s.trajectory.points
     rho = s.rho_array()
     q0, q1, q2 = pts[0], pts[1], pts[2]
-    by_id = {a.id: a.position for a in s.anchors}
-    b0, b1, b2 = (by_id[i] for i in s.schedule.anchor_ids)
+    b0, b1, b2 = (anc.position for anc, _ in groups)
     rho0, rho1, rho2 = (float(r) for r in rho)
     fam = solve_1p1(sub_scenario(s, (0, 1)))
     if fam.ind.is_finite or fam.pinned or fam.coincident_points:
@@ -851,12 +840,7 @@ def critical_lines_2p2(s: Scenario) -> tuple[CriticalLine, ...]:
     Cross-branch preimages that coincide make the ambiguity unresolvable by
     that anchor no matter where the fourth point is.
     """
-    groups = anchor_point_sets(s)
-    if s.n_measurements != 4 or len(groups) != 2:
-        raise DegenerateInput("expected four measurements over two anchors")
-    (anc_a, idx_a), (anc_b, idx_b) = groups
-    if len(idx_a) != 2 or len(idx_b) != 2:
-        raise DegenerateInput("expected two measurements from each anchor")
+    (anc_a, idx_a), (anc_b, idx_b) = _pattern(s, (2, 2), "two measurements from each of two anchors")
     prefix = sub_scenario(s, (idx_a[0], idx_a[1], idx_b[0]))
     res = solve_2p1(prefix)
     if len(res.transforms) < 2:
@@ -1095,6 +1079,56 @@ def _check_duplicate_measurements(s: Scenario, groups, deg_tol: float, sep_tol: 
                 raise EmptyDomain("repeated measurements of one point disagree")
 
 
+# the answer for a continuous family, which the closed forms describe without isolated placements
+_ANALYTIC = SolutionSet((), (), ("family characterized analytically; no isolated solutions",))
+
+
+def _route(s: Scenario, groups, classes, raw, config: SolverConfig):
+    """Answer the measurement pattern with its exact construction.
+
+    Returns (method, answer, case): the answer is the family's IndClass or
+    the accepted placements, and `case` the degenerate case the construction
+    reports should the answer be unique. A construction that does not apply
+    raises DegenerateInput.
+    """
+    pts, rhos, tol = s.trajectory.points, s.rho_array(), s.tolerances
+    if len(groups) == 1:
+        return "single-anchor", single_anchor_family_for(s).ind, None
+    seed = None
+    for gi, ((_, idxs), cls) in enumerate(zip(groups, classes)):
+        if cls in (AnchorSetClass.C2, AnchorSetClass.C3):
+            pair = _two_distinct(idxs, pts, rhos, tol.collinear, tol.degenerate)
+            if pair is not None:
+                seed = (gi, pair)
+                break
+    if seed is None:
+        # every anchor pins a single effective point
+        _check_duplicate_measurements(s, groups, tol.degenerate, tol.collinear)
+        reps = [idxs[0] for _, idxs in groups]
+        if len(groups) == 2:
+            fam = solve_1p1(sub_scenario(s, reps))
+            if not fam.ind.is_finite:
+                return "two-anchor-family", fam.ind, None
+            return "two-anchor-family", _filter_candidates(s, fam.transforms, config), 1 if fam.case1 else None
+        r = solve_1p1p1(sub_scenario(s, reps[:3]), config)
+        if s.n_measurements == 3:
+            # the sub-scenario is the scenario: r is polished and deduped
+            return "three-singles", r.solutions, 2 if r.case2 else None
+        return "three-singles", _filter_candidates(s, r.transforms, config), None
+    gi, (ia, ib) = seed
+    other_first = next(idxs[0] for g, (_, idxs) in enumerate(groups) if g != gi)
+    triple = None
+    if classes[gi] is AnchorSetClass.C3 and len(groups[gi][1]) >= 3:
+        triple = _noncollinear_triple(groups[gi][1], pts, tol.collinear)
+    if triple is not None:
+        r3 = solve_3p1(sub_scenario(s, (*triple, other_first)))
+        case = 4 if raw == (3, 1) and r3.tangent else None
+        return "triple-plus-single", _filter_candidates(s, r3.transforms, config), case
+    r2 = solve_2p1(sub_scenario(s, (ia, ib, other_first)))
+    case = 3 if raw == (2, 1) and r2.tangent else None
+    return "double-plus-single", _filter_candidates(s, r2.transforms, config), case
+
+
 def analyze_global(
     s: Scenario,
     config: SolverConfig = SolverConfig(),
@@ -1121,89 +1155,20 @@ def analyze_global(
             reverse=True,
         )
     )
-    n = s.n_measurements
-    sufficient = sufficient_counts(raw, n)
-
-    ind: IndClass
-    sols = SolutionSet((), (), ())
-    degenerate_case: int | None = None
-    method = ""
+    sufficient = sufficient_counts(raw, s.n_measurements)
 
     try:
-        if len(groups) == 1:
-            fam = single_anchor_family_for(s)
-            ind = fam.ind
-            method = "single-anchor"
-            sols = SolutionSet((), (), ("family characterized analytically; no isolated solutions",))
+        method, answer, case = _route(s, groups, classes, raw, config)
+        if isinstance(answer, IndClass):
+            ind, sols = answer, _ANALYTIC
         else:
-            seed = None
-            for gi, ((_, idxs), cls) in enumerate(zip(groups, classes)):
-                if cls in (AnchorSetClass.C2, AnchorSetClass.C3):
-                    pair = _two_distinct(idxs, pts, rhos, tol.collinear, tol.degenerate)
-                    if pair is not None:
-                        seed = (gi, pair)
-                        break
-            if seed is None:
-                # every anchor pins a single effective point
-                _check_duplicate_measurements(s, groups, tol.degenerate, tol.collinear)
-                reps = [idxs[0] for _, idxs in groups]
-                if len(groups) == 2:
-                    method = "two-anchor-family"
-                    fam = solve_1p1(sub_scenario(s, reps))
-                    if fam.ind.is_finite:
-                        accepted = _filter_candidates(s, fam.transforms, config)
-                        if not accepted:
-                            raise EmptyDomain("no candidate placement survives every range")
-                        sols = SolutionSet(tuple(accepted), (), ())
-                        ind = IndClass.finite(len(accepted))
-                        if fam.case1 and ind.is_unique:
-                            degenerate_case = 1
-                    else:
-                        ind = fam.ind
-                        sols = SolutionSet(
-                            (), (), ("family characterized analytically; no isolated solutions",)
-                        )
-                else:
-                    method = "three-singles"
-                    first3 = reps[:3]
-                    r = solve_1p1p1(sub_scenario(s, first3), config)
-                    # with three ranges the sub-scenario is the scenario: r is polished and deduped
-                    accepted = list(r.solutions) if n == 3 else _filter_candidates(s, r.transforms, config)
-                    if not accepted:
-                        raise EmptyDomain("no candidate placement survives every range")
-                    sols = SolutionSet(tuple(accepted), (), ())
-                    ind = IndClass.finite(len(accepted))
-                    if n == 3 and r.case2:
-                        degenerate_case = 2
-            else:
-                gi, (ia, ib) = seed
-                other = next(g for g in range(len(groups)) if g != gi)
-                other_first = groups[other][1][0]
-                triple = None
-                if classes[gi] is AnchorSetClass.C3 and len(groups[gi][1]) >= 3:
-                    triple = _noncollinear_triple(groups[gi][1], pts, tol.collinear)
-                if triple is not None:
-                    method = "triple-plus-single"
-                    r3 = solve_3p1(sub_scenario(s, (*triple, other_first)))
-                    accepted = _filter_candidates(s, r3.transforms, config)
-                    if not accepted:
-                        raise EmptyDomain("no candidate placement survives every range")
-                    sols = SolutionSet(tuple(accepted), (), ())
-                    ind = IndClass.finite(len(accepted))
-                    if raw == (3, 1) and r3.tangent and ind.is_unique:
-                        degenerate_case = 4
-                else:
-                    method = "double-plus-single"
-                    r2 = solve_2p1(sub_scenario(s, (ia, ib, other_first)))
-                    accepted = _filter_candidates(s, r2.transforms, config)
-                    if not accepted:
-                        raise EmptyDomain("no candidate placement survives every range")
-                    sols = SolutionSet(tuple(accepted), (), ())
-                    ind = IndClass.finite(len(accepted))
-                    if raw == (2, 1) and r2.tangent and ind.is_unique:
-                        degenerate_case = 3
+            if not answer:
+                raise EmptyDomain("no candidate placement survives every range")
+            sols = SolutionSet(tuple(answer), (), ())
+            ind = IndClass.finite(len(answer))
+        degenerate_case = case if ind.is_unique else None
     except DegenerateInput:
-        method = "grid-oracle"
+        method, degenerate_case = "grid-oracle", None
         sols = brute_force_oracle(s, fallback_grid or GridSpec(nxy=121, phi_cells=240), config)
         if not sols.solutions and not sols.families:
             raise EmptyDomain("no placement satisfies the ranges")

@@ -242,6 +242,12 @@ def close_roots_three_singles():
     return scen(CLOSE_ROOTS_ANCHORS, CLOSE_ROOTS_PTS, [1, 2, 3], truth=CLOSE_ROOTS_TRUTH)
 
 
+def zero_coefficient_three_singles():
+    """1+1+1 where an entry of the linear system for the offset is a multiple of 1 + cos(phi): two placements."""
+    return scen([(0.0, 0.0), (-1.0, 5.0), (4.0, -3.0)], [(0.0, 0.0), (1.0, 0.0), (0.5, 2.0)], [1, 2, 3],
+                rho=[1.0, 4.5, 5.2])
+
+
 def three_singles_circle_family():
     """Each anchor is its point shifted by (1.5, 0.5), all ranges 1: at phi = 0 a unit circle of offsets fits."""
     pts = [(0.3, -0.5), (2.0, 0.7), (0.9, 2.1)]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from constructa import save_scenario, translation_bound
+from constructa import GridSpec, IndClass, brute_force_oracle, save_scenario, translation_bound
 from constructa.cli import _grid, build_parser, main
 from helpers import (
     TRUTH_C,
@@ -17,12 +17,17 @@ from helpers import (
     double_double,
     double_plus_single,
     driven_scenario,
+    each_in,
     four_singles,
+    oracle_transforms,
     same_transform,
     scen,
+    single_collinear_on,
     three_singles,
     triple_plus_single,
+    two_anchor_clipped_both,
     two_anchor_two_loops,
+    zero_coefficient_three_singles,
 )
 from constructa import RigidTransform2
 
@@ -109,6 +114,18 @@ def test_localize_methods_agree(tmp_path, capsys):
             same_transform(_sol(payload, i), TRUTH_C, tol_xy=1e-4, tol_phi=1e-4)
             for i in range(2)
         )
+
+
+def test_analyze_three_singles_with_a_constant_entry(tmp_path, capsys):
+    # the linear system's products differ in degree here; the closed form still finds what a fine grid finds
+    s = zero_coefficient_three_singles()
+    code, out, err = _run(capsys, ["analyze", _write(tmp_path, s)])
+    assert (code, err) == (2, "")
+    payload = json.loads(out)
+    assert (payload["method"], payload["ind"]["rendered"]) == ("three-singles", "Ind(2)")
+    oracle = brute_force_oracle(s, GridSpec(nxy=161, phi_cells=320))
+    assert oracle.ind_class == IndClass.finite(2)
+    assert each_in([_sol(payload, i) for i in range(2)], oracle_transforms(oracle), 1e-6, 1e-6)
 
 
 def test_localize_unique_exits_zero(tmp_path, capsys):
@@ -316,13 +333,18 @@ def test_non_finite_number_is_an_error(tmp_path, capsys):
         ["localize", path, "--method", "multistart", "--seed", "-1"],
         ["simulate", path, "--truth", "0,0,0", "--noise", "0.1", "--seed", "-1"],
         ["analyze", path, "--seed", "-1"],
+        # placements on the command line
+        ["gramian", path, "--placement", "inf,0,0"],
+        ["simulate", path, "--truth", "nan,0,0"],
     ):
         _assert_rejected(*_run(capsys, argv))
 
 
 def test_overflowing_lengths_are_an_error(tmp_path, capsys):
-    # one fixture per closed-form route: 2+1, 3+1, 1+1+1 and 1+1+1+1
-    for make in (double_double, triple_plus_single, three_singles, four_singles):
+    # one fixture per closed-form route that squares lengths: one anchor on collinear points, a 1+1 family
+    # cut on both sides, 2+1, 3+1, 1+1+1 and 1+1+1+1
+    for make in (single_collinear_on, two_anchor_clipped_both, double_double, triple_plus_single, three_singles,
+                 four_singles):
         raw = _raw(tmp_path, make())
         for item in raw["anchors"] + raw["points_v"]:
             item["x"] *= 1e200

@@ -1,4 +1,5 @@
 """Exact ambiguity constructions, critical lines, pathologies, verdicts."""
+import inspect
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import constructa
+import helpers
 from constructa import global_analysis
 from constructa import (
     ConstructaError,
@@ -24,6 +26,7 @@ from constructa import (
     NonPositiveInput,
     Point2,
     RigidTransform2,
+    Scenario,
     SolverConfig,
     Tolerances,
     Verdict,
@@ -151,6 +154,25 @@ def test_single_anchor_collinear_on_line():
     fam = single_anchor_family_for(s)
     assert fam.ind.render() == "Ind(∞)"
     assert fam.anchor_on_line
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), exponent=hst.integers(0, 4))
+def test_single_anchor_on_the_line_at_any_scale(seed, exponent):
+    # points on a world line through the anchor, ranges measured from the placed points: one loop, not two
+    scale = 10.0**exponent
+    rng = np.random.default_rng(seed)
+    anchor = rng.uniform(-5.0, 5.0, size=2) * scale
+    ts = rng.uniform(-5.0, 5.0, size=3)
+    while np.min(np.diff(np.sort(ts))) < 0.1 or np.min(np.abs(ts)) < 0.1:
+        ts = rng.uniform(-5.0, 5.0, size=3)
+    ang = rng.uniform(-math.pi, math.pi)
+    world = anchor + scale * ts[:, None] * np.array([math.cos(ang), math.sin(ang)])
+    back = random_transform(rng, scale).inverse()
+    pts = [back.apply(Point2(*w)) for w in world]
+    s = scen([tuple(anchor)], [(p.x, p.y) for p in pts], [1, 1, 1], rho=np.hypot(*(world - anchor).T))
+    ga = analyze_global(s)
+    assert (ga.method, ga.ind.render()) == ("single-anchor", "Ind(∞)")
 
 
 def test_single_anchor_collinear_inconsistent_ranges():
@@ -504,6 +526,54 @@ def test_sufficient_counts_rule():
     assert not sufficient_counts((5, 1), 6)
 
 
+# (method, class, degenerate case) of every fixture with ranges
+ROUTES = {
+    "clean_multi_anchor": ("double-plus-single", "Ind(1)", None),
+    "close_roots_three_singles": ("three-singles", "Ind(6)", None),
+    "double_double": ("double-plus-single", "Ind(1)", None),
+    "double_double_off_critical_line": ("double-plus-single", "Ind(1)", None),
+    "double_double_on_critical_line": ("double-plus-single", "Ind(2)", None),
+    "double_plus_single": ("double-plus-single", "Ind(4)", None),
+    "double_plus_two_singles": ("double-plus-single", "Ind(1)", None),
+    "four_singles": ("three-singles", "Ind(1)", None),
+    "rotation_pathology": ("double-plus-single", "Ind(2)", None),
+    "single_coincident": ("single-anchor", "Ind(∞×∞)", None),
+    "single_collinear_off": ("single-anchor", "Ind(2×∞)", None),
+    "single_collinear_on": ("single-anchor", "Ind(∞)", None),
+    "single_generic": ("single-anchor", "Ind(∞)", None),
+    "tangent_double_plus_single": ("double-plus-single", "Ind(1)", 3),
+    "tangent_three_singles": ("three-singles", "Ind(1)", 2),
+    "tangent_triple_plus_single": ("triple-plus-single", "Ind(1)", 4),
+    "three_singles": ("three-singles", "Ind(2)", None),
+    "three_singles_circle_family": ("grid-oracle", "Ind(∞)", None),
+    "translation_pathology": ("double-plus-single", "Ind(2)", None),
+    "triple_plus_double": ("triple-plus-single", "Ind(1)", None),
+    "triple_plus_single": ("triple-plus-single", "Ind(2)", None),
+    "triple_plus_two_singles": ("triple-plus-single", "Ind(1)", None),
+    "two_anchor_clipped_both": ("two-anchor-family", "Ind(2×∞)", None),
+    "two_anchor_merged": ("two-anchor-family", "Ind(∞)", None),
+    "two_anchor_single_window": ("two-anchor-family", "Ind(1)", 1),
+    "two_anchor_two_loops": ("two-anchor-family", "Ind(2×∞)", None),
+    "zero_coefficient_three_singles": ("three-singles", "Ind(2)", None),
+}
+
+
+def _fixtures_with_ranges():
+    for name, make in vars(helpers).items():
+        if inspect.isfunction(make) and make.__module__ == "helpers" and all(
+            p.default is not p.empty for p in inspect.signature(make).parameters.values()
+        ):
+            s = make()
+            if isinstance(s, Scenario) and s.measurements is not None:
+                yield name
+
+
+@pytest.mark.parametrize("name", sorted(_fixtures_with_ranges()))
+def test_route_table(name):
+    ga = analyze_global(getattr(helpers, name)())
+    assert (ga.method, ga.ind.render(), ga.degenerate_case) == ROUTES[name]
+
+
 def test_analyze_single_anchor_routes():
     for build, expected in (
         (single_coincident, "Ind(∞×∞)"),
@@ -680,7 +750,7 @@ CLOSED_FORM_FIXTURES = (
     "single_generic", "tangent_double_plus_single", "tangent_three_singles", "tangent_triple_plus_single",
     "three_singles", "translation_pathology", "triple_plus_double", "triple_plus_single",
     "triple_plus_two_singles", "two_anchor_clipped_both", "two_anchor_merged", "two_anchor_single_window",
-    "two_anchor_two_loops",
+    "two_anchor_two_loops", "zero_coefficient_three_singles",
 )
 
 
