@@ -87,6 +87,7 @@ from .scenario import (
     anchor_point_sets,
     classify_anchor_set,
     classify_measurement_set,
+    controls_to_trajectory_v,
     dumps_scenario,
     load_scenario,
     loads_scenario,
@@ -114,7 +115,6 @@ from .unicycle import (
     ControlSegment,
     UnicycleControls,
     UnicycleState,
-    controls_to_trajectory_v,
     integrate,
     integrate_times,
     sensitivity,

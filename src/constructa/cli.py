@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -109,7 +109,6 @@ def _add_io(p: argparse.ArgumentParser) -> None:
 def _add_solver_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-accept", type=float, default=None, help="residual acceptance gate")
     p.add_argument("--tol-rank", type=float, default=None, help="relative eigenvalue cutoff for rank")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized starts")
 
 
 def _add_grid_opts(p: argparse.ArgumentParser) -> None:
@@ -174,17 +173,7 @@ def cmd_analyze(args) -> int:
         "degenerate_case": ga.degenerate_case,
         "critical_line_hit": ga.critical_line_hit,
         "method": ga.method,
-        "pathologies": {
-            "rotation": ga.pathologies.rotation,
-            "rotation_pivot": ga.pathologies.rotation_pivot,
-            "rotation_angle": ga.pathologies.rotation_angle,
-            "translation": ga.pathologies.translation,
-            "translation_vector": (
-                list(ga.pathologies.translation_vector)
-                if ga.pathologies.translation_vector is not None
-                else None
-            ),
-        },
+        "pathologies": asdict(ga.pathologies),
         **_solutions_payload(ga.solutions),
     }
     _emit(_report(payload), args.out)
@@ -235,15 +224,7 @@ def cmd_gramian(args) -> int:
         "rank": report.rank,
         "null_basis": [[float(x) for x in col] for col in report.null_basis.T],
         "final_position": [report.final_position.x, report.final_position.y],
-        "singular_directions": [
-            {
-                "label": d.label,
-                "direction": list(d.direction),
-                "residual": d.residual,
-                "annihilated": d.annihilated,
-            }
-            for d in checked
-        ],
+        "singular_directions": [asdict(d) for d in checked],
     }
     if args.numeric:
         num = numerical_gramian(s, placement)
@@ -334,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_opts(p)
     _add_grid_opts(p)
     p.add_argument("--method", choices=("auto", "multistart", "oracle"), default="auto")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized starts")
     p.set_defaults(func=cmd_localize)
 
     p = sub.add_parser("gramian", help="local constructibility report")

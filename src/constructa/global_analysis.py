@@ -14,7 +14,7 @@ picks the construction for a pattern; `analyze_global` accepts its answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
 
@@ -841,25 +841,25 @@ def critical_lines_2p2(s: Scenario) -> tuple[CriticalLine, ...]:
     that anchor no matter where the fourth point is.
     """
     (anc_a, idx_a), (anc_b, idx_b) = _pattern(s, (2, 2), "two measurements from each of two anchors")
-    prefix = sub_scenario(s, (idx_a[0], idx_a[1], idx_b[0]))
-    res = solve_2p1(prefix)
+    res = solve_2p1(sub_scenario(s, (idx_a[0], idx_a[1], idx_b[0])))
     if len(res.transforms) < 2:
         raise NoAmbiguity("the first three measurements already pin the placement")
 
-    tol = s.tolerances
-    pre = [t.inverse().apply(anc_b.position) for t in res.transforms]
-    lines: list[CriticalLine] = []
-    for i, j in combinations(range(len(res.transforms)), 2):
-        same_branch = res.sigma_branch[i] == res.sigma_branch[j]
-        if pre[i].dist(pre[j]) <= 10.0 * tol.dedup[0]:
-            if same_branch:
-                continue
-            raise PathologicalConfiguration(
-                "two placements give the second anchor the same preimage; no fourth point can split them"
-            )
-        kind = CriticalLineKind.ROTATION_ABOUT_ANCHOR if same_branch else CriticalLineKind.REFLECTED_PAIR
-        lines.append(CriticalLine(perpendicular_bisector(pre[i], pre[j]), (i, j), kind))
-    return tuple(lines)
+    found = critical_lines_next_point(res.transforms, anc_b.position, 10.0 * s.tolerances.dedup[0])
+    branch = res.sigma_branch
+    if any(branch[i] != branch[j] for i, j in found.unresolvable_pairs):
+        raise PathologicalConfiguration(
+            "two placements give the second anchor the same preimage; no fourth point can split them"
+        )
+    return tuple(
+        replace(
+            cl,
+            kind=CriticalLineKind.ROTATION_ABOUT_ANCHOR
+            if branch[cl.pair[0]] == branch[cl.pair[1]]
+            else CriticalLineKind.REFLECTED_PAIR,
+        )
+        for cl in found.lines
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -912,77 +912,46 @@ def detect_pathologies(s: Scenario, placement: RigidTransform2 | None = None) ->
     if placement is None:
         placement = RigidTransform2.identity()
     tol = s.tolerances
-    ang_tol = max(tol.degenerate, 1e-9)
-    groups = anchor_point_sets(s)
-    world: list[tuple[Point2, list[Point2]]] = []
-    for anchor, idxs in groups:
-        pts = [placement.apply(s.trajectory.points[k]) for k in idxs]
-        world.append((anchor.position, _distinct_points(pts, tol.collinear)))
+    deg = max(tol.degenerate, 1e-9)
+    # per anchor: the anchor, its distinct placed points and the direction of
+    # their line, None when they do not span one
+    rows = []
+    for anchor, idxs in anchor_point_sets(s):
+        pts = _distinct_points([placement.apply(s.trajectory.points[k]) for k in idxs], tol.collinear)
+        beta = _line_direction(pts) if len(pts) >= 2 and collinear(pts, tol.collinear) else None
+        rows.append((anchor, pts, beta))
 
-    rotation = False
-    pivot_id = None
-    rot_angle = None
-    if len(groups) >= 2:
-        for pi, (anchor_p, _) in enumerate(groups):
-            c = anchor_p.position
-            etas: list[float] = []
-            ok = True
-            for gi in range(len(groups)):
-                if gi == pi:
-                    continue
-                b, pts = world[gi]
-                if len(pts) < 2 or not collinear(pts, tol.collinear):
-                    ok = False
-                    break
-                beta = _line_direction(pts)
-                line = Line2(pts[0], Point2(math.cos(beta), math.sin(beta)))
-                if point_line_distance(c, line) > max(tol.degenerate, 1e-9):
-                    ok = False
-                    break
-                if b.dist(c) <= tol.collinear:
-                    ok = False
-                    break
-                etas.append(beta - _angle(c, b))
-            if not ok or not etas:
+    flags = DegenerateFlags()
+    for pivot, _, _ in rows:
+        c = pivot.position
+        etas = []
+        for anchor, pts, beta in rows:
+            if anchor is pivot:
                 continue
-            base = etas[0]
-            if any(_mod_pi_diff(e, base) > ang_tol for e in etas[1:]):
-                continue
-            if _mod_pi_diff(base, 0.0) <= ang_tol:
-                continue
-            rotation = True
-            pivot_id = anchor_p.id
-            rot_angle = wrap_angle(-2.0 * base)
-            break
-
-    translation = False
-    trans_vec = None
-    if len(groups) >= 1:
-        betas = []
-        ok = True
-        for _, pts in world:
-            if len(pts) < 2 or not collinear(pts, tol.collinear):
-                ok = False
+            b = anchor.position
+            if beta is None or b.dist(c) <= tol.collinear:
                 break
-            betas.append(_line_direction(pts))
-        if ok:
-            base = betas[0]
-            if all(_mod_pi_diff(b, base) <= ang_tol for b in betas[1:]):
-                ux, uy = -math.sin(base), math.cos(base)
-                deltas = []
-                for (b, pts) in world:
-                    mean = Point2(
-                        sum(p.x for p in pts) / len(pts), sum(p.y for p in pts) / len(pts)
-                    )
-                    deltas.append((b.x - mean.x) * ux + (b.y - mean.y) * uy)
-                d0 = deltas[0]
-                if all(abs(d - d0) <= max(tol.degenerate, 1e-9) for d in deltas[1:]) and abs(d0) > max(
-                    tol.degenerate, 1e-9
-                ):
-                    translation = True
-                    trans_vec = (2.0 * d0 * ux, 2.0 * d0 * uy)
+            if point_line_distance(c, Line2(pts[0], Point2(math.cos(beta), math.sin(beta)))) > deg:
+                break
+            etas.append(beta - _angle(c, b))
+        else:
+            base = etas[0] if etas else 0.0  # a lone anchor has no lines to turn
+            if all(_mod_pi_diff(e, base) <= deg for e in etas[1:]) and _mod_pi_diff(base, 0.0) > deg:
+                flags = DegenerateFlags(True, pivot.id, wrap_angle(-2.0 * base))
+                break
 
-    return DegenerateFlags(rotation, pivot_id, rot_angle, translation, trans_vec)
+    betas = [beta for _, _, beta in rows]
+    if None in betas or any(_mod_pi_diff(b, betas[0]) > deg for b in betas[1:]):
+        return flags
+    ux, uy = -math.sin(betas[0]), math.cos(betas[0])
+    deltas = []
+    for anchor, pts, _ in rows:
+        mean = Point2(sum(p.x for p in pts) / len(pts), sum(p.y for p in pts) / len(pts))
+        deltas.append((anchor.position.x - mean.x) * ux + (anchor.position.y - mean.y) * uy)
+    d0 = deltas[0]
+    if any(abs(d - d0) > deg for d in deltas[1:]) or abs(d0) <= deg:
+        return flags
+    return replace(flags, translation=True, translation_vector=(2.0 * d0 * ux, 2.0 * d0 * uy))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DegenerateInput, InconsistentControls, SchemaError, ZeroRange
 from .geom import Line2, Point2, RigidTransform2
-from .scenario import Scenario
-from .unicycle import controls_to_trajectory_v, sensitivity
+from .scenario import Scenario, controls_to_trajectory_v
+from .unicycle import sensitivity
 
 __all__ = [
     "gramian_contribution",

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import MissingMeasurements, NonPositiveInput, ParseError, SchemaError
 from .geom import Point2, RigidTransform2, collinear
+from .unicycle import ControlSegment, UnicycleControls, UnicycleState, integrate_times
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ class Scenario:
     schedule: MeasurementSchedule
     measurements: Measurements | None = None
     tolerances: Tolerances = field(default_factory=Tolerances)
-    controls: object | None = None
+    controls: UnicycleControls | None = None
     sample_times: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -147,6 +148,18 @@ class Scenario:
         if self.measurements is None:
             raise MissingMeasurements("scenario carries no ranges")
         return np.array(self.measurements.rho, dtype=float)
+
+
+def controls_to_trajectory_v(
+    controls: UnicycleControls, sample_times, initial: UnicycleState | None = None
+) -> TrajectoryV:
+    """Sample the controlled motion into a vehicle-frame trajectory.
+
+    With the default initial state the frame is anchored at the pose at t = 0,
+    which is exactly the vehicle frame convention used by scenarios.
+    """
+    states = integrate_times(controls, sample_times, initial)
+    return TrajectoryV(tuple(st.point() for st in states), tuple(st.theta for st in states))
 
 
 class AnchorSetClass(Enum):
@@ -325,8 +338,6 @@ def loads_scenario(text: str) -> Scenario:
     controls = None
     sample_times = None
     if "controls" in raw:
-        from .unicycle import ControlSegment, UnicycleControls
-
         _require(isinstance(raw["controls"], list), "controls: expected a list")
         segs = []
         for i, item in enumerate(raw["controls"]):
@@ -355,8 +366,6 @@ def loads_scenario(text: str) -> Scenario:
             headings = tuple(_as_float(h, f"headings_v[{i}]") for i, h in enumerate(raw["headings_v"]))
         trajectory = TrajectoryV(points, headings)
     elif controls is not None:
-        from .unicycle import controls_to_trajectory_v
-
         trajectory = controls_to_trajectory_v(controls, sample_times)
     else:
         raise ParseError("missing key: points_v (or controls + sample_times)")

@@ -18,6 +18,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -145,12 +146,17 @@ class SolutionSet:
         return IndClass(len(self.solutions), 0)
 
     def best(self) -> Solution | None:
+        """The first placement in (phi, dx, dy) order, family representatives included.
+
+        Between exact placements the residual is rounding noise, so it does
+        not choose; the order makes the pick independent of that noise.
+        """
         pool = list(self.solutions)
         for f in self.families:
             pool.extend(f.representatives)
         if not pool:
             return None
-        return min(pool, key=lambda s: s.residual)
+        return min(pool, key=Solution.key)
 
 
 def _problem_arrays(s: Scenario):
@@ -498,15 +504,11 @@ def brute_force_oracle(
     n_threads = _n_threads()
     vals = np.empty((grid.phi_cells, grid.nxy, grid.nxy), dtype=np.float32)
     chunks = np.array_split(np.arange(grid.phi_cells), max(1, min(n_threads * 4, grid.phi_cells)))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = [pool.submit(_residual_field, pts, anchors, rhos, xs, ys, phis, ch) for ch in chunks]
-            # gather in submission order so the result is independent of scheduling
-            for ch, fut in zip(chunks, futures):
-                vals[ch[0] : ch[-1] + 1] = fut.result()
-    else:
-        for ch in chunks:
-            vals[ch[0] : ch[-1] + 1] = _residual_field(pts, anchors, rhos, xs, ys, phis, ch)
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        # map yields in submission order, so the result is independent of scheduling
+        blocks = pool.map(partial(_residual_field, pts, anchors, rhos, xs, ys, phis), chunks)
+        for ch, block in zip(chunks, blocks):
+            vals[ch[0] : ch[-1] + 1] = block
 
     cells, label = _label_admitted(vals <= threshold)
     warnings: list[str] = []

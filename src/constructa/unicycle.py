@@ -115,20 +115,6 @@ def integrate_times(
     return [integrate(controls, float(t), initial) for t in times]
 
 
-def controls_to_trajectory_v(controls: UnicycleControls, sample_times, initial: UnicycleState | None = None):
-    """Sample the controlled motion into a vehicle-frame trajectory.
-
-    With the default initial state the frame is anchored at the pose at t = 0,
-    which is exactly the vehicle frame convention used by scenarios.
-    """
-    from .scenario import TrajectoryV
-
-    states = integrate_times(controls, sample_times, initial)
-    points = tuple(st.point() for st in states)
-    headings = tuple(st.theta for st in states)
-    return TrajectoryV(points, headings)
-
-
 def sensitivity(controls: UnicycleControls, t_from: float, t_to: float) -> np.ndarray:
     """State-transition matrix d state(t_to) / d state(t_from), t_from <= t_to.
 

@@ -83,8 +83,8 @@ def test_analyze_ambiguous_scenario_exits_two(tmp_path, capsys):
 
 def test_analyze_output_is_deterministic(tmp_path, capsys):
     path = _write(tmp_path, double_plus_single())
-    _, first, _ = _run(capsys, ["analyze", path, "--seed", "5"])
-    _, second, _ = _run(capsys, ["analyze", path, "--seed", "5"])
+    _, first, _ = _run(capsys, ["analyze", path])
+    _, second, _ = _run(capsys, ["analyze", path])
     assert first == second
 
 
@@ -332,7 +332,6 @@ def test_non_finite_number_is_an_error(tmp_path, capsys):
         ["simulate", path, "--truth", "0.1,0.2,0.3", "--noise", "nan"],
         ["localize", path, "--method", "multistart", "--seed", "-1"],
         ["simulate", path, "--truth", "0,0,0", "--noise", "0.1", "--seed", "-1"],
-        ["analyze", path, "--seed", "-1"],
         # placements on the command line
         ["gramian", path, "--placement", "inf,0,0"],
         ["simulate", path, "--truth", "nan,0,0"],
@@ -389,8 +388,14 @@ def test_placement_values_may_start_with_a_minus_sign(tmp_path, capsys):
 
 def test_usage_error_is_rejected_input(tmp_path, capsys):
     path = _write(tmp_path, double_double())
-    # --max-step went with the integrator whose step it set
-    for argv in (["analyze", path, "--no-such-flag"], ["gramian", path, "--numeric", "--max-step", "0.01"]):
+    # --max-step went with the integrator whose step it set; only localize (for
+    # multistart) and simulate read a seed
+    for argv in (
+        ["analyze", path, "--no-such-flag"],
+        ["gramian", path, "--numeric", "--max-step", "0.01"],
+        ["analyze", path, "--seed", "-1"],
+        ["plotdata", path, "--what", "family", "--seed", "0"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         captured = capsys.readouterr()

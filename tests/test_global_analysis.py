@@ -24,6 +24,7 @@ from constructa import (
     MixedAnchors,
     NoAmbiguity,
     NonPositiveInput,
+    PathologicalConfiguration,
     Point2,
     RigidTransform2,
     Scenario,
@@ -31,6 +32,7 @@ from constructa import (
     Tolerances,
     Verdict,
     analyze_global,
+    angle_diff,
     brute_force_oracle,
     critical_lines_2p2,
     critical_lines_next_point,
@@ -54,6 +56,7 @@ from constructa import (
     sufficient_counts,
     synthesize_measurements,
     with_measurements,
+    wrap_angle,
 )
 from helpers import (
     CLOSE_ROOTS_TRUTH,
@@ -471,6 +474,22 @@ def test_critical_lines_need_at_least_two_placements():
         critical_lines_next_point([RigidTransform2.identity()], Point2(1.0, 0.0))
 
 
+@pytest.mark.parametrize("branches", [(0, 0), (0, 1)])
+def test_critical_lines_2p2_coinciding_preimages(monkeypatch, branches):
+    # the identity and a rotation about the second anchor give that anchor one preimage:
+    # on one sign branch the pair leaves no line, across branches no fourth point can split it
+    s = double_double()
+    b = s.anchor_by_id(s.schedule.anchor_ids[-1]).position
+    spin = RigidTransform2(b.x, b.y, 0.8).compose(RigidTransform2(-b.x, -b.y, 0.0))
+    fake = global_analysis.Result2p1((RigidTransform2.identity(), spin), branches, (), False)
+    monkeypatch.setattr(global_analysis, "solve_2p1", lambda prefix: fake)
+    if branches == (0, 0):
+        assert critical_lines_2p2(s) == ()
+    else:
+        with pytest.raises(PathologicalConfiguration):
+            critical_lines_2p2(s)
+
+
 # ---------------------------------------------------------------------------
 # measurement pathologies
 
@@ -511,6 +530,89 @@ def test_clean_scenario_has_no_pathologies():
     assert not flags.any_flag
     assert flags.rotation_pivot is None
     assert flags.translation_vector is None
+
+
+def _spread(rng, n, lo, hi, gap):
+    """n signed offsets along a line, |t| in [lo, hi], pairwise at least `gap` apart."""
+    while True:
+        ts = rng.uniform(lo, hi, size=n) * rng.choice((-1.0, 1.0), size=n)
+        if n < 2 or np.min(np.diff(np.sort(ts))) >= gap:
+            return ts
+
+
+def _pathology_case(kind, rng):
+    """World anchors, per-anchor world points, and the flags the scan must raise.
+
+    rotation: every other anchor's points lie on a line through the pivot
+    (anchor 1), turned by one angle eta from the direction to that anchor;
+    the pivot's own three points span a triangle, so no other anchor can
+    pivot and no translation holds. translation: every anchor's points lie on
+    parallel lines at one signed offset from their anchor. clean: generic
+    points, nothing to flag.
+    """
+    n_anchors = int(rng.integers(2, 4))
+    while True:
+        anchors = rng.uniform(-5.0, 5.0, size=(n_anchors, 2))
+        gaps = np.linalg.norm(anchors[:, None] - anchors[None, :], axis=2) + np.eye(n_anchors) * 1e9
+        if gaps.min() >= 1.0:
+            break
+    counts = rng.integers(2, 4, size=n_anchors)
+    if kind == "rotation":
+        eta = rng.uniform(0.2, math.pi - 0.2)
+        counts[0] = 3
+        while True:
+            tri = anchors[0] + rng.uniform(-3.0, 3.0, size=(3, 2))
+            (ax, ay), (bx, by) = tri[1] - tri[0], tri[2] - tri[0]
+            area = ax * by - ay * bx
+            if abs(area) >= 0.5 and np.min(np.linalg.norm(tri - anchors[0], axis=1)) >= 0.3:
+                break
+        world = [tri]
+        for b, n in zip(anchors[1:], counts[1:]):
+            d = b - anchors[0]
+            beta = math.atan2(d[1], d[0]) + eta
+            ts = _spread(rng, n, 0.5, 4.0, 0.3)
+            world.append(anchors[0] + ts[:, None] * np.array([math.cos(beta), math.sin(beta)]))
+        return anchors, world, (True, 1, wrap_angle(-2.0 * eta), False, None)
+    if kind == "translation":
+        beta = rng.uniform(-math.pi, math.pi)
+        u, nrm = np.array([math.cos(beta), math.sin(beta)]), np.array([-math.sin(beta), math.cos(beta)])
+        delta = rng.uniform(0.3, 3.0) * rng.choice((-1.0, 1.0))
+        world = [b - delta * nrm + _spread(rng, n, 0.0, 3.0, 0.3)[:, None] * u for b, n in zip(anchors, counts)]
+        return anchors, world, (False, None, None, True, tuple(2.0 * delta * nrm))
+    world = [rng.uniform(-5.0, 5.0, size=(n, 2)) for n in counts]
+    return anchors, world, (False, None, None, False, None)
+
+
+def _which(flags):
+    return flags.rotation, flags.rotation_pivot, flags.translation
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(kind=hst.sampled_from(("rotation", "translation", "clean")), seed=hst.integers(0, 2**32 - 1))
+def test_pathologies_on_generated_constructions(kind, seed):
+    rng = np.random.default_rng(seed)
+    anchors, world, expected = _pathology_case(kind, rng)
+    truth = random_transform(rng)
+    back = truth.inverse()
+    schedule = [i + 1 for i, w in enumerate(world) for _ in w]
+    order = rng.permutation(len(schedule))
+    flat = np.vstack(world)[order]
+    pts = [back.apply(Point2(*w)) for w in flat]
+    s = scen([tuple(a) for a in anchors], [(p.x, p.y) for p in pts], [schedule[k] for k in order], truth=truth)
+
+    flags = detect_pathologies(s, truth)
+    assert _which(flags) == (expected[0], expected[1], expected[3])
+    if flags.rotation:
+        assert abs(angle_diff(flags.rotation_angle, expected[2])) < 1e-9
+    if flags.translation:
+        assert flags.translation_vector == pytest.approx(expected[4], abs=1e-9)
+
+    # the flags describe the configuration, not the placement it is seen from
+    ga = analyze_global(s)
+    assert ga.solutions.solutions
+    assert _which(ga.pathologies) == _which(flags)
+    for sol in ga.solutions.solutions:
+        assert _which(detect_pathologies(s, sol.transform)) == _which(flags)
 
 
 # ---------------------------------------------------------------------------

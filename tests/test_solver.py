@@ -9,12 +9,14 @@ from hypothesis import strategies as hst
 
 from constructa import solver
 from constructa import (
+    FamilyInfo,
     GridSpec,
     IndClass,
     NonPositiveInput,
     RigidTransform2,
     SchemaError,
     Solution,
+    SolutionSet,
     SolverConfig,
     brute_force_oracle,
     dedup_solutions,
@@ -116,6 +118,16 @@ def test_dedup_merges_by_both_tolerances():
     # angles touching from both sides of the wrap seam are one solution
     out2 = dedup_solutions([wrap, wrap2], 1e-5, 1e-5)
     assert len(out2) == 1
+
+
+def test_best_ignores_residual_noise():
+    # between exact placements the residual is rounding noise; swapping it must not change the pick
+    a, b = RigidTransform2(0.0, 1.0, 0.0), RigidTransform2(0.0, 0.0, 0.0)
+    one = SolutionSet((Solution(a, 2e-16, 3), Solution(b, 1e-16, 3)))
+    swapped = SolutionSet((Solution(a, 1e-16, 3), Solution(b, 2e-16, 3)))
+    family = SolutionSet((), (FamilyInfo(1, (Solution(a, 1e-16, 2), Solution(b, 2e-16, 2)), (0.0, 0.0, 0.0)),))
+    assert one.best().transform == swapped.best().transform == family.best().transform
+    assert SolutionSet(()).best() is None
 
 
 def test_solver_config_validation():
